@@ -258,8 +258,8 @@ type (
 	// whole constant-current segment at a time with closed-form exhaustion
 	// root-finding instead of MaxStep substeps.
 	BatterySegmentDrainer = battery.SegmentDrainer
-	// BatteryRepetitionOperator advances a model by whole profile
-	// repetitions through a precomputed affine transfer operator.
+	// BatteryRepetitionOperator advances a model by as many whole profile
+	// repetitions, up to a limit, as it can prove survivable.
 	BatteryRepetitionOperator = battery.RepetitionOperator
 	// BatteryAnalyticGater is the optional per-instance gate on the analytic
 	// path (the stochastic model's Monte Carlo mode keeps slot stepping).
@@ -300,7 +300,7 @@ func BatteryModelNames() []string { return battery.Names() }
 // BatteryLifetime plays the profile periodically against the model until the
 // battery is exhausted and reports lifetime and delivered charge. Models
 // implementing BatterySegmentDrainer take the analytic fast path (whole
-// segments, per-repetition transfer operators, exhaustion root-finding);
+// segments, repetition transfer operators, exhaustion root-finding);
 // since the stochastic fast path that is every registered model in its
 // default mode, with only Monte Carlo instances stepped at 1 s.
 func BatteryLifetime(m BatteryModel, p *Profile) (BatteryResult, error) {

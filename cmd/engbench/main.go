@@ -44,9 +44,14 @@
 // The battery report (BENCH_battery.json, -battery-o): ns/op of a full 72 h
 // lifetime simulation per battery model on a representative periodic load,
 // comparing the MaxStep-2 uniform-stepping path against the analytic path
-// (whole segments + per-repetition transfer operators + exhaustion
+// (whole segments + repetition transfer operators + exhaustion
 // root-finding) — since the stochastic geometric-recovery fast path, every
-// model has one in its default mode. The report also carries batch rows
+// model has one in its default mode. The table2_profile row repeats the
+// stochastic comparison on a real paper Table 2 load profile (a few hundred
+// segments, ~12k repetitions to exhaustion), where the stochastic repetition
+// operator's k-repetition jump carries the analytic path; the synthetic
+// 3-segment profile lasts only ~130 repetitions and cannot show it. The
+// report also carries batch rows
 // comparing one SimulateBatch pass over N models against N sequential scalar
 // passes (fresh instance per pass, the pre-batch driver behaviour); engbench
 // exits nonzero if a batch pass is slower than the scalar passes it replaces
@@ -95,8 +100,10 @@ import (
 	"battsched/internal/dvs"
 	"battsched/internal/obs"
 	"battsched/internal/priority"
+	"battsched/internal/processor"
 	"battsched/internal/profile"
 	"battsched/internal/profutil"
+	"battsched/internal/runner"
 	"battsched/internal/service"
 	"battsched/internal/service/client"
 	"battsched/internal/taskgraph"
@@ -215,12 +222,28 @@ type batchMeasurement struct {
 	SpeedupVsStepped float64 `json:"speedup_vs_stepped,omitempty"`
 }
 
+// table2ProfileMeasurement is the stochastic model's lifetime on a real
+// paper Table 2 load profile. The synthetic profile of the per-model rows
+// lasts ~130 repetitions of 3 segments; a Table 2 lifetime sustains ~12k
+// repetitions of a few hundred segments, which is where the repetition
+// operator's k-repetition jump shows.
+type table2ProfileMeasurement struct {
+	// Profile describes the load profile.
+	Profile string `json:"profile"`
+	// Segments and Repetitions are the profile's segment count and the
+	// whole repetitions the analytic lifetime sustains.
+	Segments    int `json:"segments"`
+	Repetitions int `json:"repetitions"`
+	batteryMeasurement
+}
+
 // batteryReport is the emitted BENCH_battery.json document.
 type batteryReport struct {
-	Benchmark string               `json:"benchmark"`
-	Profile   string               `json:"profile"`
-	Models    []batteryMeasurement `json:"models"`
-	Batch     []batchMeasurement   `json:"batch"`
+	Benchmark     string                   `json:"benchmark"`
+	Profile       string                   `json:"profile"`
+	Models        []batteryMeasurement     `json:"models"`
+	Table2Profile table2ProfileMeasurement `json:"table2_profile"`
+	Batch         []batchMeasurement       `json:"batch"`
 }
 
 // batteryFactories returns the four model families in their default modes.
@@ -241,19 +264,30 @@ func benchBattery() batteryReport {
 	p.Append(21.7, 0.4)
 	p.Append(5.1, 0.01)
 
-	measure := func(model func() battery.Model, opts battery.SimulateOptions) (float64, float64) {
+	measure := func(model func() battery.Model, load *profile.Profile, opts battery.SimulateOptions) (float64, battery.Result) {
 		opts.MaxTime = 72 * 3600
-		var life float64
+		var last battery.Result
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := battery.SimulateUntilExhausted(model(), p, opts)
+				res, err := battery.SimulateUntilExhausted(model(), load, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				life = res.LifetimeMinutes()
+				last = res
 			}
 		})
-		return float64(r.T.Nanoseconds()) / float64(r.N), life
+		return float64(r.T.Nanoseconds()) / float64(r.N), last
+	}
+	compare := func(name string, model func() battery.Model, load *profile.Profile) (batteryMeasurement, battery.Result) {
+		meas := batteryMeasurement{Model: name}
+		ns, stepped := measure(model, load, battery.SimulateOptions{MaxStep: 2})
+		meas.SteppedNsPerOp, meas.SteppedLifetimeMin = ns, stepped.LifetimeMinutes()
+		ns, analytic := measure(model, load, battery.SimulateOptions{})
+		meas.AnalyticNsPerOp, meas.AnalyticLifetimeMin = ns, analytic.LifetimeMinutes()
+		if meas.AnalyticNsPerOp > 0 {
+			meas.Speedup = meas.SteppedNsPerOp / meas.AnalyticNsPerOp
+		}
+		return meas, analytic
 	}
 
 	factories := batteryFactories()
@@ -263,14 +297,18 @@ func benchBattery() batteryReport {
 		Profile:   "periodic 60.2 s load: 33.4 s @ 1.2 A, 21.7 s @ 0.4 A, 5.1 s @ 0.01 A",
 	}
 	for i, factory := range factories {
-		var meas batteryMeasurement
-		meas.Model = names[i]
-		meas.SteppedNsPerOp, meas.SteppedLifetimeMin = measure(factory, battery.SimulateOptions{MaxStep: 2})
-		meas.AnalyticNsPerOp, meas.AnalyticLifetimeMin = measure(factory, battery.SimulateOptions{})
-		if meas.AnalyticNsPerOp > 0 {
-			meas.Speedup = meas.SteppedNsPerOp / meas.AnalyticNsPerOp
-		}
+		meas, _ := compare(names[i], factory, p)
 		rep.Models = append(rep.Models, meas)
+	}
+
+	t2 := table2Profile()
+	meas, res := compare("stochastic", factories[3], t2)
+	rep.Table2Profile = table2ProfileMeasurement{
+		Profile: fmt.Sprintf("paper Table 2, full size (5 graphs, U = 0.70, 4 hyperperiods), set 0 of seed 1 under BAS-2: %.1f s period, %.3f A average",
+			t2.Duration(), t2.AverageCurrent()),
+		Segments:           len(t2.Segments),
+		Repetitions:        res.Repetitions,
+		batteryMeasurement: meas,
 	}
 
 	// Batch rows: N models (cycling the four families) drained against the
@@ -318,6 +356,36 @@ func benchBattery() batteryReport {
 	}
 	rep.Batch = []batchMeasurement{measureBatch(4), measureBatch(16)}
 	return rep
+}
+
+// table2Profile returns the load profile the Table 2 driver hands the
+// battery for set 0 of the paper-default run (seed 1) under BAS-2.
+func table2Profile() *profile.Profile {
+	proc := processor.Default()
+	seed := runner.SeedFor(1, 0)
+	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.70, proc.FMax(), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "engbench:", err)
+		os.Exit(1)
+	}
+	bas2 := gridSchemes()[4]
+	res, err := core.Run(core.Config{
+		System:        sys,
+		Processor:     proc,
+		DVS:           bas2.alg(),
+		Priority:      bas2.prio(),
+		ReadyPolicy:   bas2.policy,
+		FrequencyMode: core.DiscreteFrequency,
+		Execution:     taskgraph.NewUniformExecution(0.2, 1.0, seed),
+		Hyperperiods:  4,
+		Seed:          seed,
+		Observer:      core.NewProfileRecorder(),
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "engbench:", err)
+		os.Exit(1)
+	}
+	return res.Profile
 }
 
 // gridScheme is one Table 2 scheme of the quick-grid workload (a local copy

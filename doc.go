@@ -44,19 +44,23 @@
 // BatterySegmentDrainer and are simulated analytically: each constant-current
 // profile segment is applied exactly in one closed-form update, whole profile
 // repetitions are applied through a precomputed affine transfer operator in
-// O(state) time while a conservative check proves the battery survives them,
+// O(state) time each while a conservative check proves the battery survives
+// them,
 // and the exhaustion instant is located by Newton iteration (with a bisection
 // safeguard) on the closed form. The stochastic model's expected-value mode
 // (its default) is analytic too: between recoveries the delivered charge
 // advances deterministically, so the expected recovery collapses to a
-// closed-form geometric series per segment; Monte Carlo mode declines the
+// closed-form geometric series per segment, and across whole repetitions as
+// well: its operator jumps the largest provably survivable number of
+// repetitions in one closed-form step; Monte Carlo mode declines the
 // fast path (BatteryAnalyticGater) and keeps exact slot stepping. Setting
 // BatterySimulateOptions.MaxStep to a positive value forces the
 // uniform-stepping path for every model (the reference the accuracy tests
 // compare against); cmd/batsim and cmd/basched expose the choice as -maxstep.
-// On representative periodic loads the analytic path is 33–350x faster than
-// 2 s stepping (see cmd/engbench -battery-o and the BenchmarkLifetime*
-// benchmarks in internal/battery).
+// On a synthetic 3-segment periodic load the analytic path is 35–600x faster
+// than 2 s stepping, and on a real paper Table 2 profile the stochastic
+// model's repetition jump makes it ~3000x faster (see cmd/engbench
+// -battery-o and the BenchmarkLifetime* benchmarks in internal/battery).
 //
 // BatteryLifetimeBatch evaluates N models against one profile in a single
 // pass — analytic models via the scalar analytic driver, stepped models

@@ -17,7 +17,7 @@ import (
 //
 // The batch splits into two groups by the usual dispatch rule. Analytic
 // models (SegmentDrainer, not stepped-forced, AnalyticGater-approved) are
-// already O(segments + repetitions) per simulation — their per-repetition
+// already O(segments + repetitions) per simulation — their repetition
 // transfer operators amortise the replay internally — so they run through the
 // scalar analytic driver unchanged. Stepped models are where the replay cost
 // lives: they share one slot clock, every substep of the subdivided segment

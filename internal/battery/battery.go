@@ -56,15 +56,17 @@ type SegmentDrainer interface {
 // the state of the closed-form models (a 2-vector for KiBaM, a (1+Terms)-
 // vector for diffusion, two scalar budgets for Peukert), so the operator is
 // precomputed once per simulation and applied in O(state) per repetition.
+// The stochastic model's expected-value mode goes further: its repetitions
+// form a geometric series, so it jumps k repetitions in one closed-form
+// evaluation and finds the largest survivable k by bisection.
 type RepetitionOperator interface {
-	// CanAdvance conservatively reports whether the model survives one full
-	// profile repetition from its current state. It may return false for a
-	// survivable repetition (the driver then falls back to segment stepping)
-	// but must never return true for a fatal one.
-	CanAdvance() bool
-	// Advance applies one full repetition to the model state. It must only
-	// be called after CanAdvance returned true.
-	Advance()
+	// Advance applies the largest number of whole repetitions, at most
+	// limit, that the model can prove survivable from its current state, and
+	// returns how many it applied. The proof is conservative: it may stop
+	// short of a survivable repetition (the driver then falls back to
+	// segment stepping) but must never apply a fatal one. Zero means the
+	// next repetition could not be proven survivable (or limit < 1).
+	Advance(limit int) (reps int)
 }
 
 // RepetitionTransferer is implemented by SegmentDrainers that can precompute
@@ -179,10 +181,12 @@ func (o *SimulateOptions) setDefaults() {
 // Models implementing SegmentDrainer are simulated analytically unless
 // MaxStep forces the stepped path: each constant-current segment is applied
 // exactly in one closed-form update, and when the model also implements
-// RepetitionTransferer whole profile repetitions are applied through the
-// precomputed affine transfer operator in O(state) time while the operator's
-// conservative check proves the battery survives them, falling back to
-// segment stepping only around the horizon and the exhaustion repetition.
+// RepetitionTransferer runs of whole profile repetitions are handed to the
+// precomputed transfer operator, which applies as many as its conservative
+// check proves the battery survives — one at a time for KiBaM, diffusion and
+// Peukert, in one closed-form k-repetition jump for the stochastic model —
+// falling back to segment stepping only around the horizon and the
+// exhaustion repetition.
 func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	if m == nil {
 		return Result{}, ErrNilModel
@@ -202,10 +206,10 @@ func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (
 	return simulateStepped(m, p, opts)
 }
 
-// simulateAnalytic drives a SegmentDrainer: whole repetitions through the
-// transfer operator while its conservative survival check holds, whole
-// segments otherwise, with the exhaustion instant located by the model's
-// closed-form root-finding inside the final segment.
+// simulateAnalytic drives a SegmentDrainer: runs of whole repetitions
+// through the transfer operator while its conservative survival check holds,
+// whole segments otherwise, with the exhaustion instant located by the
+// model's closed-form root-finding inside the final segment.
 func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	m.Reset()
 	var res Result
@@ -216,11 +220,19 @@ func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions
 		op = rt.RepetitionOperator(p)
 	}
 	for t < opts.MaxTime {
-		if op != nil && t+period <= opts.MaxTime && op.CanAdvance() {
-			op.Advance()
-			t += period
-			res.Repetitions++
-			continue
+		if op != nil && t+period <= opts.MaxTime {
+			limit := periodsBefore(t, period, opts.MaxTime)
+			reps := op.Advance(limit)
+			// Lifetime accumulates one period at a time, exactly as
+			// repetition-by-repetition driving would, so t does not depend
+			// on how the operator grouped the repetitions.
+			for i := 0; i < reps; i++ {
+				t += period
+			}
+			res.Repetitions += reps
+			if reps == limit {
+				continue
+			}
 		}
 		completed := true
 		for _, seg := range p.Segments {
@@ -259,6 +271,25 @@ func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions
 	res.Lifetime = t
 	res.DeliveredCharge = m.DeliveredCharge()
 	return res, nil
+}
+
+// periodsBefore returns how many whole periods may be handed to a
+// RepetitionOperator at time t, given that t+period <= maxTime: every one of
+// them must pass that same check when t then advances one period at a time.
+// The quotient (maxTime−t)/period, less a margin covering the rounding of
+// the quotient and of the running sum (at most a few ulps of maxTime per
+// addition), is such a count; the last few periods before the horizon are
+// left to one-at-a-time calls, for which 1 is always safe.
+func periodsBefore(t, period, maxTime float64) int {
+	n := (maxTime - t) / period
+	k := n - 2 - n*(maxTime/period)*0x1p-50
+	switch {
+	case !(k >= 1):
+		return 1
+	case k > math.MaxInt32:
+		return math.MaxInt32
+	}
+	return int(k)
 }
 
 // simulateStepped drives any model by subdividing segments into MaxStep

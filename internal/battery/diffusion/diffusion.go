@@ -290,24 +290,23 @@ type repetitionOperator struct {
 	headroom float64
 }
 
-// CanAdvance implements battery.RepetitionOperator: sigma at every segment
-// boundary of the repetition is bounded by the current sigma plus the
-// precomputed headroom, so staying below alpha proves survival.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator, one repetition at a time
+// while the survival check holds: sigma at every segment boundary of the
+// repetition is bounded by the current sigma plus the precomputed headroom,
+// so staying below alpha proves survival.
+func (o *repetitionOperator) Advance(limit int) int {
 	b := o.b
 	if !b.alive {
-		return false
+		return 0
 	}
-	return b.Sigma()+o.headroom < b.params.AlphaCoulombs
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	for m := range b.unavailable {
-		b.unavailable[m] = b.unavailable[m]*o.decay[m] + o.offset[m]
+	reps := 0
+	for ; reps < limit && b.Sigma()+o.headroom < b.params.AlphaCoulombs; reps++ {
+		for m := range b.unavailable {
+			b.unavailable[m] = b.unavailable[m]*o.decay[m] + o.offset[m]
+		}
+		b.delivered += o.charge
 	}
-	b.delivered += o.charge
+	return reps
 }
 
 // String implements fmt.Stringer.

@@ -211,11 +211,7 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 	viaOperator := Default()
 	viaSegments := Default()
 	op := viaOperator.RepetitionOperator(p)
-	reps := 0
-	for reps < 40 && op.CanAdvance() {
-		op.Advance()
-		reps++
-	}
+	reps := op.Advance(40)
 	if reps < 10 {
 		t.Fatalf("operator advanced only %d repetitions before its conservative check tripped", reps)
 	}

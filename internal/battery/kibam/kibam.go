@@ -232,26 +232,28 @@ type repetitionOperator struct {
 	peak, peakE, peakR float64
 }
 
-// CanAdvance implements battery.RepetitionOperator: the available charge
-// after draining the constant peak current for the whole repetition is a
-// lower bound on the true trajectory (a heavier load at every instant drains
-// the available well faster), so a positive value proves survival.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator, one repetition at a time
+// while the survival check holds: the available charge after draining the
+// constant peak current for the whole repetition is a lower bound on the
+// true trajectory (a heavier load at every instant drains the available
+// well faster), so a positive value proves survival.
+func (o *repetitionOperator) Advance(limit int) int {
 	b := o.b
 	if !b.alive {
-		return false
+		return 0
 	}
 	c := b.params.C
-	y0 := b.y1 + b.y2
-	y1 := b.y1*o.peakE + (y0*b.kp*c-o.peak)*(1-o.peakE)/b.kp - o.peak*c*o.peakR
-	return y1 > 0
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	b.y1, b.y2 = o.m11*b.y1+o.m12*b.y2+o.d1, o.m21*b.y1+o.m22*b.y2+o.d2
-	b.delivered += o.charge
+	reps := 0
+	for ; reps < limit; reps++ {
+		y0 := b.y1 + b.y2
+		y1 := b.y1*o.peakE + (y0*b.kp*c-o.peak)*(1-o.peakE)/b.kp - o.peak*c*o.peakR
+		if !(y1 > 0) {
+			break
+		}
+		b.y1, b.y2 = o.m11*b.y1+o.m12*b.y2+o.d1, o.m21*b.y1+o.m22*b.y2+o.d2
+		b.delivered += o.charge
+	}
+	return reps
 }
 
 // DrainEuler is a reference forward-Euler integration of the KiBaM ODEs with

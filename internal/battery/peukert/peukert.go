@@ -181,19 +181,23 @@ type repetitionOperator struct {
 	weighted, charge float64
 }
 
-// CanAdvance implements battery.RepetitionOperator.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator, one repetition at a time
+// while both budgets stay below their limits after it.
+func (o *repetitionOperator) Advance(limit int) int {
 	b := o.b
-	return b.alive &&
-		b.weighted+o.weighted < b.params.ReferenceCapacityCoulombs &&
-		b.delivered+o.charge < b.params.MaxCoulombs
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	b.weighted += o.weighted
-	b.delivered += o.charge
+	if !b.alive {
+		return 0
+	}
+	reps := 0
+	for ; reps < limit; reps++ {
+		if !(b.weighted+o.weighted < b.params.ReferenceCapacityCoulombs &&
+			b.delivered+o.charge < b.params.MaxCoulombs) {
+			break
+		}
+		b.weighted += o.weighted
+		b.delivered += o.charge
+	}
+	return reps
 }
 
 // String implements fmt.Stringer.

@@ -176,11 +176,7 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 	viaOperator := Default()
 	viaSegments := Default()
 	op := viaOperator.RepetitionOperator(p)
-	reps := 0
-	for reps < 40 && op.CanAdvance() {
-		op.Advance()
-		reps++
-	}
+	reps := op.Advance(40)
 	if reps < 10 {
 		t.Fatalf("operator advanced only %d repetitions", reps)
 	}
@@ -197,8 +193,9 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 	if math.Abs(viaOperator.weighted-viaSegments.weighted) > 1e-9*viaSegments.MaxCapacity() {
 		t.Fatalf("weighted: operator %v vs segments %v", viaOperator.weighted, viaSegments.weighted)
 	}
-	// The Peukert survival check is exact: after CanAdvance trips, one more
-	// repetition must indeed kill the segment-stepped battery.
+	// The Peukert survival check is exact: when it stops Advance short of
+	// the limit, one more repetition must indeed kill the segment-stepped
+	// battery.
 	if reps < 40 {
 		alive := true
 		for _, s := range p.Segments {
@@ -207,7 +204,7 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 			}
 		}
 		if alive {
-			t.Fatal("CanAdvance tripped but the next repetition was survivable")
+			t.Fatal("the survival check stopped Advance but the next repetition was survivable")
 		}
 	}
 }

@@ -86,13 +86,21 @@ func expectedPrefix(avail, bound, a, x, d float64, remaining int) int {
 		}
 		return avail+s-fm*d+rec-d > prefixSlack
 	}
-	if !ok(0) {
+	return admissiblePrefix(remaining, ok)
+}
+
+// admissiblePrefix returns the largest k <= n such that ok(m) holds for
+// every m < k, for an ok whose true set is a prefix of [0, n) that the
+// endpoint checks ok(0) and ok(n−1) decide: the endpoints are tested, then a
+// binary search locates the end of the prefix.
+func admissiblePrefix(n int, ok func(m int) bool) int {
+	if n < 1 || !ok(0) {
 		return 0
 	}
-	if ok(remaining - 1) {
-		return remaining
+	if ok(n - 1) {
+		return n
 	}
-	lo, hi := 0, remaining-1
+	lo, hi := 0, n-1
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if ok(mid) {
@@ -195,46 +203,34 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 	return sustained
 }
 
-// repSeg caches the per-segment constants of the repetition operator. The
-// recovery constants are stored per unit of the repetition-start recovery
-// probability, which is the only state dependence: within a repetition the
-// depth of discharge advances deterministically, so every segment's recovery
-// sum is the start probability times a precomputed factor.
-type repSeg struct {
-	demand    float64 // whole-step demand of the segment: slots·I·h
-	recFactor float64 // Σ recovery of the whole steps, per unit start probability
-	decay     float64 // e^(−λ·segment demand/Max): probability decay across the steps
-	tail      float64 // fractional trailing step, seconds (0 when none)
-	tailDem   float64 // I·tail
-	tailRec   float64 // recovery of the tail step, per unit probability
-	tailDecay float64 // probability decay across the tail
-}
-
-// repOp is the battery.RepetitionOperator of one profile for one instance:
-// one recoveryProbability evaluation (a single exp) plus a handful of
-// multiply-adds per segment advance a whole repetition, replacing the
-// per-step exp of the reference recursion.
+// repOp is the battery.RepetitionOperator of one profile for one instance.
+// Within a repetition the depth of discharge advances deterministically, so
+// each segment's recovery is the repetition-start recovery probability p
+// times a precomputed factor, and one repetition recovers p·R in total. Each
+// repetition also adds the same demand D to the delivered charge, so the
+// start probability of repetition j is p₀·rʲ with r = e^(−λ·D): the
+// recoveries of consecutive repetitions form a geometric series, and k of
+// them sum to S_k = p₀·R·(1−rᵏ)/(1−r) — the same telescoping as the
+// per-step recursion inside a segment, one level up.
 type repOp struct {
-	b    *Battery
-	segs []repSeg
+	b      *Battery
+	demand float64 // D: coulombs demanded (and delivered) by one repetition
+	decay  float64 // λ·D: per-repetition decay exponent of the probability
+	recov  float64 // R: recovery of one repetition per unit start probability
 	// conservative-survival bounds over one repetition
-	totalDemand  float64 // coulombs demanded by one full repetition
-	maxStepDem   float64 // largest single-step demand
-	recPerProb   float64 // recovery upper bound per unit probability: Imax·Σ idle_s·dur_s
-	stepRecCoeff float64 // single-step recovery upper bound per unit probability: Imax·h
-	// probability cache: CanAdvance evaluates the start probability (one
-	// exp) and Advance reuses it when the state has not moved in between
-	// (the driver's call pattern), halving the exps per repetition.
-	cachedP         float64
-	cachedDelivered float64
-	cacheValid      bool
+	maxStepDem float64 // largest single-step demand
+	recBound   float64 // recovery upper bound per unit probability: Imax·(Σ idle_s·dur_s + h)
 }
 
 // RepetitionOperator implements battery.RepetitionTransferer.
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
 	h := b.estep
+	imax := b.params.MaxCurrent
 	lambda := b.params.RecoveryDecay / b.params.MaxCoulombs
-	op := &repOp{b: b, stepRecCoeff: b.params.MaxCurrent * h}
+	op := &repOp{b: b, recBound: imax * h}
+	// prob threads the recovery probability, per unit start probability,
+	// through the repetition's whole steps and fractional tails.
+	prob := 1.0
 	for _, sg := range p.Segments {
 		cur := sg.Current
 		if cur < 0 {
@@ -245,76 +241,64 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 		if tail <= 1e-12 {
 			tail = 0
 		}
-		idle := 1 - math.Min(cur/b.params.MaxCurrent, 1)
+		idle := 1 - math.Min(cur/imax, 1)
 		x := lambda * cur * h
-		rs := repSeg{
-			demand:    float64(slots) * cur * h,
-			recFactor: geomSum(idle*b.params.MaxCurrent*h, x, float64(slots)),
-			decay:     math.Exp(-x * float64(slots)),
-			tail:      tail,
-			tailDem:   cur * tail,
-			tailRec:   idle * b.params.MaxCurrent * tail,
-			tailDecay: math.Exp(-lambda * cur * tail),
+		op.recov += prob * geomSum(idle*imax*h, x, float64(slots))
+		op.demand += float64(slots) * cur * h
+		prob *= math.Exp(-x * float64(slots))
+		if tail > 0 {
+			op.recov += prob * idle * imax * tail
+			op.demand += cur * tail
+			prob *= math.Exp(-lambda * cur * tail)
 		}
-		op.segs = append(op.segs, rs)
-		op.totalDemand += rs.demand + rs.tailDem
 		if d := cur * h; d > op.maxStepDem {
 			op.maxStepDem = d
 		}
-		op.recPerProb += idle * b.params.MaxCurrent * sg.Duration
+		op.recBound += idle * imax * sg.Duration
 	}
+	op.decay = lambda * op.demand
 	return op
 }
 
-// CanAdvance implements battery.RepetitionOperator. It is conservative in
-// the required direction: recovery only ever adds charge, so the available
-// store minus the repetition's whole demand lower-bounds every step's
-// available charge, and the recovery probability only decays within a
-// repetition, so the start probability times the cached idle time
-// upper-bounds the repetition's recovery draw on the bound store. When
-// either margin is thin the driver falls back to segment stepping and the
-// exact arithmetic decides.
-func (o *repOp) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator: it jumps the largest number
+// of whole repetitions, up to limit, for which the per-repetition survival
+// check holds at every repetition start, in one closed-form update.
+//
+// The check is conservative in the required direction. Recovery only ever
+// adds charge, so the available store minus the repetition's whole demand
+// lower-bounds every step's available charge; and the recovery probability
+// only decays within a repetition, so the start probability times the cached
+// idle time upper-bounds the repetition's recovery draw on the bound store.
+// Both margins carry prefixSlack. Before repetition j the available margin
+// is avail₀ + S_j − (j+1)·D, concave in j, and the bound margin is
+// bound₀ − S_j − p₀·rʲ·B (B the cached recovery bound), whose step from j to
+// j+1 is p₀·rʲ·(B·(1−r) − R), of one sign for every j: both hold on [0, k)
+// when they hold at the endpoints, the admissible set is a prefix, and a
+// bisection finds its end in O(log limit) closed-form evaluations —
+// expectedPrefix's argument, one level up. The driver segment-steps the
+// repetition after the jump, where the exact arithmetic decides.
+func (o *repOp) Advance(limit int) int {
 	b := o.b
 	if !b.alive || b.params.MonteCarlo {
-		return false
+		return 0
 	}
-	if b.available-o.totalDemand <= o.maxStepDem+prefixSlack {
-		return false
-	}
-	p0 := b.recoveryProbability()
-	o.cachedP, o.cachedDelivered, o.cacheValid = p0, b.delivered, true
-	return b.bound > p0*(o.recPerProb+o.stepRecCoeff)+prefixSlack
-}
-
-// Advance implements battery.RepetitionOperator: one full repetition on the
-// plain surviving branch throughout (guaranteed by CanAdvance). The
-// probability factor threads through the segments as a running product of
-// cached decays, so the whole repetition costs one exp.
-func (o *repOp) Advance() {
-	b := o.b
-	p := 0.0
-	if o.cacheValid && o.cachedDelivered == b.delivered {
-		p = o.cachedP
-	} else {
-		p = b.recoveryProbability()
-	}
-	o.cacheValid = false
-	for i := range o.segs {
-		sg := &o.segs[i]
-		rec := p * sg.recFactor
-		b.available += rec - sg.demand
-		b.bound -= rec
-		b.delivered += sg.demand
-		p *= sg.decay
-		if sg.tail > 0 {
-			rec = p * sg.tailRec
-			b.available += rec - sg.tailDem
-			b.bound -= rec
-			b.delivered += sg.tailDem
-			p *= sg.tailDecay
+	avail, bound, p0 := b.available, b.bound, b.recoveryProbability()
+	a := p0 * o.recov
+	ok := func(j int) bool {
+		fj := float64(j)
+		s := geomSum(a, o.decay, fj)
+		if avail+s-fj*o.demand-o.demand <= o.maxStepDem+prefixSlack {
+			return false
 		}
+		return bound-s > p0*math.Exp(-o.decay*fj)*o.recBound+prefixSlack
 	}
+	k := admissiblePrefix(limit, ok)
+	fk := float64(k)
+	s := geomSum(a, o.decay, fk)
+	b.available += s - fk*o.demand
+	b.bound -= s
+	b.delivered += fk * o.demand
+	return k
 }
 
 // compile-time interface checks

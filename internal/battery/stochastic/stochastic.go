@@ -33,8 +33,13 @@
 // term is a geometric sequence a·qᵐ whose partial sums have a closed form —
 // the whole segment collapses to O(1) arithmetic plus exact per-step updates
 // at the few steps where a branch (recovery clamped by the bound store, or
-// exhaustion) is near. Params.ExpectedStep selects the reproduced step
-// resolution. Monte Carlo mode has no such collapse — its trajectory is
+// exhaustion) is near. The identity repeats one level up: every whole
+// profile repetition delivers the same charge, so the repetitions' recovery
+// terms form a geometric series too, and the repetition operator jumps k
+// repetitions in one closed-form evaluation, k being the largest count its
+// conservative survival check proves (found by bisection). A paper Table 2
+// lifetime of ~12k repetitions costs about 15 such evaluations.
+// Params.ExpectedStep selects the reproduced step resolution. Monte Carlo mode has no such collapse — its trajectory is
 // defined one RNG draw per slot — so it gates itself off the analytic path
 // via battery.AnalyticGater and keeps fine stepping.
 package stochastic

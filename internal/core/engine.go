@@ -225,11 +225,12 @@ func (s *candSorter) Less(i, j int) bool {
 
 // engine is the simulation state.
 type engine struct {
-	cfg   Config
-	sys   *taskgraph.System
-	fmax  float64
-	rng   *rand.Rand
-	horiz float64
+	cfg    Config
+	sys    *taskgraph.System
+	fmax   float64
+	rng    *rand.Rand
+	rngSrc lazySource // rng's source
+	horiz  float64
 
 	now         float64
 	nextRelease []float64
@@ -266,6 +267,32 @@ type engine struct {
 	lastNode    int
 }
 
+// lazySource is the engine's random source. Only the Random priority draws
+// from it, and seeding a math/rand source costs microseconds — a visible
+// share of a run — so Seed only records the seed and the underlying source
+// is seeded on the first draw. The draws are those of rand.NewSource(seed).
+type lazySource struct {
+	src    rand.Source64
+	seed   int64
+	seeded bool
+}
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+
+func (s *lazySource) source() rand.Source64 {
+	if !s.seeded {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
+	}
+	return s.src
+}
+
 // reset rebinds the engine to cfg (already validated and defaulted), reusing
 // every scratch buffer from previous runs. Per-system caches (graph names,
 // trace labels) are invalidated only when the System pointer changes; the
@@ -277,10 +304,9 @@ func (e *engine) reset(cfg Config) {
 	e.sys = cfg.System
 	e.fmax = cfg.Processor.FMax()
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	} else {
-		e.rng.Seed(cfg.Seed ^ 0x5eed)
+		e.rng = rand.New(&e.rngSrc)
 	}
+	e.rng.Seed(cfg.Seed ^ 0x5eed)
 	e.horiz = cfg.horizon()
 
 	n := cfg.System.NumGraphs()

@@ -374,3 +374,29 @@ func TestRecorderReuse(t *testing.T) {
 		t.Fatal("Reset dropped capacity")
 	}
 }
+
+// TestLazySourceMatchesEagerSeeding: the engine's lazily seeded source yields
+// exactly the draws of a freshly seeded math/rand source, across reseeds with
+// and without draws in between, and seeds nothing until the first draw.
+func TestLazySourceMatchesEagerSeeding(t *testing.T) {
+	src := &lazySource{}
+	lazy := rand.New(src)
+	for i, seed := range []int64{3, 3, -7, 1 << 40, 3} {
+		lazy.Seed(seed)
+		if src.seeded {
+			t.Fatalf("reseed %d: source seeded before any draw", i)
+		}
+		if i == 1 {
+			continue // reseed again with no draw in between
+		}
+		eager := rand.New(rand.NewSource(seed))
+		for j := 0; j < 50; j++ {
+			if a, b := lazy.Float64(), eager.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: lazy %v vs eager %v", seed, j, a, b)
+			}
+			if a, b := lazy.Uint64(), eager.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: lazy %v vs eager %v", seed, j, a, b)
+			}
+		}
+	}
+}

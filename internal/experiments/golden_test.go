@@ -54,8 +54,23 @@ func TestGoldenTable1(t *testing.T) {
 // TestGoldenTable2 pins the quick Table 2 output for the kibam battery (all
 // five schemes in discrete-frequency mode).
 func TestGoldenTable2(t *testing.T) {
+	checkTable2Golden(t, "kibam", "table2_quick")
+}
+
+// TestGoldenTable2Stochastic pins the quick Table 2 output on its default
+// battery, the stochastic model in expected-value mode, whose lifetimes run
+// through the k-repetition jump of its repetition operator.
+func TestGoldenTable2Stochastic(t *testing.T) {
+	checkTable2Golden(t, "stochastic", "table2_quick_stochastic")
+}
+
+// checkTable2Golden runs the quick Table 2 on the named battery and compares
+// the formatted table plus every row value at round-trip float precision
+// against the named golden.
+func checkTable2Golden(t *testing.T, battery, golden string) {
+	t.Helper()
 	cfg := QuickTable2Config()
-	cfg.BatteryName = "kibam"
+	cfg.BatteryName = battery
 	rows, err := RunTable2(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +81,7 @@ func TestGoldenTable2(t *testing.T) {
 		fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g %.17g %d\n",
 			r.Scheme, r.ChargeDeliveredMAh, r.BatteryLifeMin, r.EnergyPerHyperperiodJ, r.AverageCurrentA, r.Sets)
 	}
-	checkGolden(t, "table2_quick", b.String())
+	checkGolden(t, golden, b.String())
 }
 
 // TestGoldenFigure6 pins the quick Figure 6 output (continuous-frequency

@@ -11,13 +11,16 @@ import (
 // ResultsVersion identifies the numeric behaviour of the experiment drivers
 // and the simulation stack beneath them. Bump it whenever a change alters any
 // driver's report bytes for an unchanged Spec — i.e. whenever golden outputs
-// are regenerated (as PR 3's analytic battery fast path did, and PR 6's
+// are regenerated (as the analytic battery fast path did, then the
 // stochastic fast path: closed-form geometric-recovery sums replace the
 // iterated 1 s expected-value recursion, shifting stochastic results by
-// ~1e-12 relative) — so that artifacts a persistent daemon cache stored under
-// the old behaviour stop matching new submissions instead of being served
-// stale. Schema-only changes are covered separately by ReportVersion.
-const ResultsVersion = 2
+// ~1e-12 relative; then the stochastic k-repetition jump, which sums the
+// recovery of k whole profile repetitions as one geometric series and moves
+// stochastic results by up to ~1e-11 relative) — so that artifacts a
+// persistent daemon cache stored under the old behaviour stop matching new
+// submissions instead of being served stale. Schema-only changes are covered
+// separately by ReportVersion.
+const ResultsVersion = 3
 
 // CanonicalSpec returns the canonical, stable field-ordered encoding of one
 // (experiment, Spec) pair: a fixed sequence of key=value lines covering
