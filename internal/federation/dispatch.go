@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,27 +19,27 @@ import (
 // size); DeadAfter consecutive failures mark it dead, which expires all its
 // leases immediately — their units re-queue without waiting for the lease
 // deadline.
-func (co *Coordinator) heartbeatLoop() {
-	defer co.wg.Done()
-	tick := time.NewTicker(co.cfg.HeartbeatInterval)
+func (f *fleet) heartbeatLoop() {
+	defer f.wg.Done()
+	tick := time.NewTicker(f.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	for {
-		co.heartbeatRound()
+		f.heartbeatRound()
 		select {
-		case <-co.ctx.Done():
+		case <-f.ctx.Done():
 			return
 		case <-tick.C:
 		}
 	}
 }
 
-func (co *Coordinator) heartbeatRound() {
-	co.mu.Lock()
-	probes := make([]*worker, 0, len(co.workers))
-	for _, w := range co.workers {
+func (f *fleet) heartbeatRound() {
+	f.mu.Lock()
+	probes := make([]*worker, 0, len(f.workers))
+	for _, w := range f.workers {
 		probes = append(probes, w)
 	}
-	co.mu.Unlock()
+	f.mu.Unlock()
 
 	type result struct {
 		w     *worker
@@ -53,13 +52,13 @@ func (co *Coordinator) heartbeatRound() {
 	// answer /healthz, and a short -heartbeat must not turn that latency
 	// into a death verdict (dead workers are detected fast regardless —
 	// their sockets refuse instantly).
-	timeout := co.cfg.HeartbeatInterval
+	timeout := f.cfg.HeartbeatInterval
 	if timeout < time.Second {
 		timeout = time.Second
 	}
 	for _, w := range probes {
 		go func(w *worker) {
-			ctx, cancel := context.WithTimeout(co.ctx, timeout)
+			ctx, cancel := context.WithTimeout(f.ctx, timeout)
 			defer cancel()
 			h, err := w.probe.Health(ctx)
 			// A draining worker answers 503 with a full snapshot, but it is
@@ -72,22 +71,22 @@ func (co *Coordinator) heartbeatRound() {
 	for range probes {
 		collected = append(collected, <-results)
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for _, r := range collected {
 		if r.ok {
 			if !r.w.live {
-				co.events.Emit(obs.Event{Event: obs.EventWorkerUp, Worker: r.w.url})
+				f.events.Emit(obs.Event{Event: obs.EventWorkerUp, Worker: r.w.url})
 			}
 			r.w.live = true
 			r.w.fails = 0
 			r.w.slots = r.slots
-			co.cond.Broadcast()
+			f.cond.Broadcast()
 			continue
 		}
 		r.w.fails++
-		if r.w.fails >= co.cfg.DeadAfter && r.w.live {
-			co.markWorkerDownLocked(r.w, obs.ReasonHeartbeatMiss,
+		if r.w.fails >= f.cfg.DeadAfter && r.w.live {
+			f.markWorkerDownLocked(r.w, obs.ReasonHeartbeatMiss,
 				fmt.Sprintf("%d consecutive heartbeat probes failed", r.w.fails))
 		}
 	}
@@ -102,13 +101,13 @@ func (co *Coordinator) heartbeatRound() {
 // the sub-second window before the heartbeat verdict lands. API-level errors
 // (an unknown remote job after a worker restart, a decode failure) leave the
 // worker up — its socket answered.
-func (co *Coordinator) leaseFailed(l *lease, msg string, err error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.failLeaseLocked(l, msg)
+func (f *fleet) leaseFailed(l *lease, msg string, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failLeaseLocked(l, msg)
 	var ne net.Error
 	if errors.As(err, &ne) || errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) {
-		co.markWorkerDownLocked(l.w, obs.ReasonTransportError, msg)
+		f.markWorkerDownLocked(l.w, obs.ReasonTransportError, msg)
 	}
 }
 
@@ -116,34 +115,34 @@ func (co *Coordinator) leaseFailed(l *lease, msg string, err error) {
 // its outstanding leases, recording the verdict — reason is the structured
 // cause (obs.ReasonHeartbeatMiss or obs.ReasonTransportError), why the
 // free-form one. The next passing heartbeat probe revives it. Callers hold
-// co.mu.
-func (co *Coordinator) markWorkerDownLocked(w *worker, reason, why string) {
+// f.mu.
+func (f *fleet) markWorkerDownLocked(w *worker, reason, why string) {
 	if !w.live {
 		return
 	}
 	log.Printf("federation: marking worker %s down (%s): %s", w.url, reason, why)
 	if reason == obs.ReasonTransportError {
-		co.met.downTransport.Inc()
+		f.met.downTransport.Inc()
 	} else {
-		co.met.downHeartbeat.Inc()
+		f.met.downHeartbeat.Inc()
 	}
-	co.events.Emit(obs.Event{
+	f.events.Emit(obs.Event{
 		Event: obs.EventWorkerDown, Worker: w.url, Reason: reason, Detail: why,
 	})
 	w.live = false
-	w.fails = co.cfg.DeadAfter
-	co.expireWorkerLeasesLocked(w)
+	w.fails = f.cfg.DeadAfter
+	f.expireWorkerLeasesLocked(w)
 }
 
 // expireWorkerLeasesLocked expires every outstanding lease held by a dead
-// worker. Callers hold co.mu.
-func (co *Coordinator) expireWorkerLeasesLocked(w *worker) {
-	for _, j := range co.jobs {
-		for _, u := range j.units {
+// worker. Callers hold f.mu.
+func (f *fleet) expireWorkerLeasesLocked(w *worker) {
+	for _, fj := range f.jobs {
+		for _, u := range fj.units {
 			for _, l := range u.leases {
 				if l.w == w && !l.cancelled {
-					co.met.leaseExpiries.Inc()
-					co.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
+					f.met.leaseExpiries.Inc()
+					f.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
 				}
 			}
 		}
@@ -153,21 +152,21 @@ func (co *Coordinator) expireWorkerLeasesLocked(w *worker) {
 // dispatcher pairs queued units with free worker slots and spawns one lease
 // goroutine per dispatch. It sleeps on the cond var whenever nothing is
 // dispatchable (empty queue, no live capacity).
-func (co *Coordinator) dispatcher() {
-	defer co.wg.Done()
-	co.mu.Lock()
-	defer co.mu.Unlock()
+func (f *fleet) dispatcher() {
+	defer f.wg.Done()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for {
-		if co.ctx.Err() != nil {
+		if f.ctx.Err() != nil {
 			return
 		}
-		l := co.pickLocked()
+		l := f.pickLocked()
 		if l == nil {
-			co.cond.Wait()
+			f.cond.Wait()
 			continue
 		}
-		co.wg.Add(1)
-		go co.runLease(l)
+		f.wg.Add(1)
+		go f.runLease(l)
 	}
 }
 
@@ -177,50 +176,37 @@ func (co *Coordinator) dispatcher() {
 // in flight there), otherwise the live worker with the most free slots that
 // is not already running this unit. Finished or terminal units are dropped
 // from the queue in passing. Returns nil when nothing is dispatchable.
-// Callers hold co.mu.
-func (co *Coordinator) pickLocked() *lease {
-	for qi := 0; qi < len(co.queue); qi++ {
-		u := co.queue[qi]
-		if u.finished || u.job.state == service.StateDone || u.job.state == service.StateFailed {
+// Callers hold f.mu.
+func (f *fleet) pickLocked() *lease {
+	for qi := 0; qi < len(f.queue); qi++ {
+		u := f.queue[qi]
+		if u.finished() || u.Job.Terminal() {
 			u.queued = false
-			co.queue = append(co.queue[:qi], co.queue[qi+1:]...)
+			f.queue = append(f.queue[:qi], f.queue[qi+1:]...)
 			qi--
 			continue
 		}
-		w := co.workerForLocked(u)
+		w := f.workerForLocked(u)
 		if w == nil {
 			continue // no capacity for this unit right now; try the next
 		}
-		co.queue = append(co.queue[:qi], co.queue[qi+1:]...)
+		f.queue = append(f.queue[:qi], f.queue[qi+1:]...)
 		u.queued = false
 		u.attempts++
 		now := time.Now()
-		if u.started.IsZero() {
-			u.started = now
-		}
-		u.state = service.StateRunning
-		j := u.job
-		if j.state == service.StateQueued {
-			j.state = service.StateRunning
-			j.started = now
-			for _, f := range j.followers {
-				if f.state == service.StateQueued {
-					f.state = service.StateRunning
-					f.started = now
-				}
-			}
-		}
-		l := &lease{unit: u, w: w, started: now, expires: now.Add(co.cfg.LeaseDuration)}
+		u.State = service.StateRunning
+		u.Job.MarkRunning(now)
+		l := &lease{unit: u, w: w, started: now, expires: now.Add(f.cfg.LeaseDuration)}
 		u.leases = append(u.leases, l)
 		w.leased++
-		co.journalLeaseLocked(l)
+		journalLeaseLocked(l)
 		return l
 	}
 	return nil
 }
 
-// workerForLocked picks the dispatch target for one unit. Callers hold co.mu.
-func (co *Coordinator) workerForLocked(u *funit) *worker {
+// workerForLocked picks the dispatch target for one unit. Callers hold f.mu.
+func (f *fleet) workerForLocked(u *funit) *worker {
 	eligible := func(w *worker) bool {
 		if !w.live || w.leased >= w.slots {
 			return false
@@ -233,12 +219,12 @@ func (co *Coordinator) workerForLocked(u *funit) *worker {
 		return true
 	}
 	if u.prefer != "" {
-		if w := co.workers[u.prefer]; w != nil && eligible(w) {
+		if w := f.workers[u.prefer]; w != nil && eligible(w) {
 			return w
 		}
 	}
 	var best *worker
-	for _, w := range co.workers {
+	for _, w := range f.workers {
 		if !eligible(w) {
 			continue
 		}
@@ -253,43 +239,40 @@ func (co *Coordinator) workerForLocked(u *funit) *worker {
 // job, poll its status (each successful poll renews the lease), fetch the
 // artifact on completion and deliver it. Every failure path funnels into
 // failLeaseLocked, which re-queues or fails the unit.
-func (co *Coordinator) runLease(l *lease) {
-	defer co.wg.Done()
+func (f *fleet) runLease(l *lease) {
+	defer f.wg.Done()
 	u := l.unit
-	j := u.job
-	if hook := co.cfg.OnDispatch; hook != nil {
-		hook(j.id, u.shard, l.w.url)
+	j := u.Job
+	if hook := f.cfg.OnDispatch; hook != nil {
+		hook(j.ID, u.Shard, l.w.url)
 	}
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitLeased, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
-	})
+	j.Emit(obs.Event{Event: obs.EventUnitLeased, Unit: unitName(u), Worker: l.w.url})
 	// The job's trace id rides the X-Trace-Id header of every unit dispatch,
 	// so the worker's event log carries the same trace as the coordinator's.
-	req := service.JobRequest{Experiment: j.experiment, Spec: j.specReq, TraceID: j.trace}
-	if u.shard.Enabled() {
-		req.Shard = u.shard.String()
+	req := service.JobRequest{Experiment: j.Experiment, Spec: j.Request.Spec, TraceID: j.Trace}
+	if u.Shard.Enabled() {
+		req.Shard = u.Shard.String()
 	}
-	st, err := l.w.sub.Submit(co.ctx, req)
+	st, err := l.w.sub.Submit(f.ctx, req)
 	if err != nil {
-		co.leaseFailed(l, fmt.Sprintf("submitting to %s: %v", l.w.url, err), err)
+		f.leaseFailed(l, fmt.Sprintf("submitting to %s: %v", l.w.url, err), err)
 		return
 	}
-	co.mu.Lock()
+	f.mu.Lock()
 	l.remote = st.ID
-	l.expires = time.Now().Add(co.cfg.LeaseDuration)
-	co.journalLeaseLocked(l)
+	l.expires = time.Now().Add(f.cfg.LeaseDuration)
+	journalLeaseLocked(l)
 	cancelled := l.cancelled
-	co.mu.Unlock()
+	f.mu.Unlock()
 
 	for !cancelled {
 		if st.State == service.StateDone {
-			raw, err := l.w.sub.ReportArtifact(co.ctx, st.ID)
+			raw, err := l.w.sub.ReportArtifact(f.ctx, st.ID)
 			if err != nil {
-				co.leaseFailed(l, fmt.Sprintf("fetching artifact from %s: %v", l.w.url, err), err)
+				f.leaseFailed(l, fmt.Sprintf("fetching artifact from %s: %v", l.w.url, err), err)
 				return
 			}
-			co.deliver(l, raw)
+			f.deliver(l, raw)
 			return
 		}
 		if st.State == service.StateFailed {
@@ -297,76 +280,69 @@ func (co *Coordinator) runLease(l *lease) {
 			// rare, the coordinator validates upfront) or transient (the
 			// worker was shutting down and abandoned the job); both re-queue
 			// until MaxAttempts, which bounds the deterministic case.
-			co.mu.Lock()
-			co.failLeaseLocked(l, fmt.Sprintf("worker %s: %s", l.w.url, st.Error))
-			co.mu.Unlock()
+			f.mu.Lock()
+			f.failLeaseLocked(l, fmt.Sprintf("worker %s: %s", l.w.url, st.Error))
+			f.mu.Unlock()
 			return
 		}
 		select {
-		case <-co.ctx.Done():
+		case <-f.ctx.Done():
 			return
-		case <-time.After(co.cfg.PollInterval):
+		case <-time.After(f.cfg.PollInterval):
 		}
-		st, err = l.w.sub.Job(co.ctx, st.ID)
+		st, err = l.w.sub.Job(f.ctx, st.ID)
 		if err != nil {
-			co.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
+			f.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
 			return
 		}
-		co.mu.Lock()
+		f.mu.Lock()
 		if !l.cancelled {
 			// The worker is answering: renew the lease.
-			l.expires = time.Now().Add(co.cfg.LeaseDuration)
-			co.met.leaseRenewals.Inc()
+			l.expires = time.Now().Add(f.cfg.LeaseDuration)
+			f.met.leaseRenewals.Inc()
 		}
 		cancelled = l.cancelled
-		co.mu.Unlock()
+		f.mu.Unlock()
 	}
 }
 
 // failLeaseLocked handles every way a lease ends without delivering: release
 // the slot and, when this was the unit's last active lease, re-queue the unit
 // (below MaxAttempts) or fail the job. A unit whose speculative duplicate is
-// still running is left to that copy. Callers hold co.mu.
-func (co *Coordinator) failLeaseLocked(l *lease, msg string) {
+// still running is left to that copy. Callers hold f.mu.
+func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	if l.cancelled {
 		return // already expired/superseded; the monitor handled the unit
 	}
-	co.releaseLocked(l)
+	f.releaseLocked(l)
 	u := l.unit
 	u.leases = dropLease(u.leases, l)
-	j := u.job
-	if u.finished || j.state == service.StateDone || j.state == service.StateFailed {
+	j := u.Job
+	if u.finished() || j.Terminal() {
 		return
 	}
 	if len(u.leases) > 0 {
 		return // a speculative copy is still in flight
 	}
-	if u.attempts >= co.cfg.MaxAttempts {
-		u.state = service.StateFailed
-		co.events.Emit(obs.Event{
-			Event: obs.EventUnitFailed, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url, Detail: msg,
-		})
-		co.completeLocked(j, service.StateFailed,
-			fmt.Sprintf("unit %s failed after %d attempts: %s", unitName(u), u.attempts, msg), true)
+	if u.attempts >= f.cfg.MaxAttempts {
+		u.State = service.StateFailed
+		j.Emit(obs.Event{Event: obs.EventUnitFailed, Unit: unitName(u), Worker: l.w.url, Detail: msg})
+		j.Fail(fmt.Sprintf("unit %s failed after %d attempts: %s", unitName(u), u.attempts, msg))
 		return
 	}
 	// Every path here — an expired lease, a dead worker, a transport error, a
 	// worker-reported failure — ends in the same re-dispatch, counted once.
-	co.met.expiredRe.Inc()
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitRedispatched, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url, Detail: msg,
-	})
-	log.Printf("federation: re-queueing %s unit %s (attempt %d): %s", j.id, unitName(u), u.attempts, msg)
-	u.state = service.StateQueued
-	co.enqueueLocked(u)
+	f.met.expiredRe.Inc()
+	j.Emit(obs.Event{Event: obs.EventUnitRedispatched, Unit: unitName(u), Worker: l.w.url, Detail: msg})
+	log.Printf("federation: re-queueing %s unit %s (attempt %d): %s", j.ID, unitName(u), u.attempts, msg)
+	u.State = service.StateQueued
+	f.enqueueLocked(u)
 }
 
 // unitName names a unit for logs and errors.
 func unitName(u *funit) string {
-	if u.shard.Enabled() {
-		return u.shard.String()
+	if u.Shard.Enabled() {
+		return u.Shard.String()
 	}
 	return "0/1"
 }
@@ -384,9 +360,9 @@ func dropLease(ls []*lease, l *lease) []*lease {
 
 // leaseMonitor expires overdue leases and speculatively re-dispatches
 // stragglers.
-func (co *Coordinator) leaseMonitor() {
-	defer co.wg.Done()
-	period := co.cfg.LeaseDuration / 4
+func (f *fleet) leaseMonitor() {
+	defer f.wg.Done()
+	period := f.cfg.LeaseDuration / 4
 	if period < 10*time.Millisecond {
 		period = 10 * time.Millisecond
 	}
@@ -397,52 +373,48 @@ func (co *Coordinator) leaseMonitor() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-co.ctx.Done():
+		case <-f.ctx.Done():
 			return
 		case <-tick.C:
 		}
-		co.monitorRound()
+		f.monitorRound()
 	}
 }
 
-func (co *Coordinator) monitorRound() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
+func (f *fleet) monitorRound() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	now := time.Now()
-	for _, j := range co.jobs {
-		if j.state != service.StateRunning && j.state != service.StateQueued {
-			continue
-		}
-		for _, u := range j.units {
-			if u.finished {
+	for j, fj := range f.jobs {
+		for _, u := range fj.units {
+			if u.finished() {
 				continue
 			}
 			// Expired leases: the worker stopped renewing (died, wedged, or
 			// unreachable) — re-queue elsewhere.
 			for _, l := range u.leases {
 				if !l.cancelled && now.After(l.expires) {
-					co.met.leaseExpiries.Inc()
-					co.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
+					f.met.leaseExpiries.Inc()
+					f.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
 				}
 			}
 			// Stragglers: one active lease, runtime far beyond the fleet
 			// mean — dispatch a speculative duplicate; first completion wins.
-			if len(u.leases) == 1 && !u.queued && u.attempts < co.cfg.MaxAttempts {
+			if len(u.leases) == 1 && !u.queued && u.attempts < f.cfg.MaxAttempts {
 				l := u.leases[0]
-				threshold := co.cfg.StragglerMin
-				if mean := time.Duration(co.cfg.StragglerFactor * co.meanUnitNs); mean > threshold {
+				threshold := f.cfg.StragglerMin
+				if mean := time.Duration(f.cfg.StragglerFactor * float64(f.meanUnit)); mean > threshold {
 					threshold = mean
 				}
 				if now.Sub(l.started) > threshold {
-					co.met.speculative.Inc()
-					co.events.Emit(obs.Event{
-						Event: obs.EventSpeculative, Trace: j.trace, Job: j.id,
-						Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
+					f.met.speculative.Inc()
+					j.Emit(obs.Event{
+						Event: obs.EventSpeculative, Unit: unitName(u), Worker: l.w.url,
 						Detail: fmt.Sprintf("%.1fs > %.1fs threshold", now.Sub(l.started).Seconds(), threshold.Seconds()),
 					})
 					log.Printf("federation: %s unit %s is a straggler on %s (%.1fs > %.1fs); dispatching a duplicate",
-						j.id, unitName(u), l.w.url, now.Sub(l.started).Seconds(), threshold.Seconds())
-					co.enqueueLocked(u)
+						j.ID, unitName(u), l.w.url, now.Sub(l.started).Seconds(), threshold.Seconds())
+					f.enqueueLocked(u)
 				}
 			}
 		}
@@ -453,113 +425,74 @@ func (co *Coordinator) monitorRound() {
 // wins, later duplicates are discarded (bit-exact by construction), shard
 // partials are cached under their content address and merged incrementally,
 // and the last unit finalises the job.
-func (co *Coordinator) deliver(l *lease, raw []byte) {
+func (f *fleet) deliver(l *lease, raw []byte) {
 	u := l.unit
-	j := u.job
+	j := u.Job
 	var rep *experiments.Report
-	if u.shard.Enabled() {
+	if u.Shard.Enabled() {
 		var err error
 		rep, err = decodePartial(raw)
 		if err != nil {
-			co.mu.Lock()
-			co.failLeaseLocked(l, fmt.Sprintf("decoding partial from %s: %v", l.w.url, err))
-			co.mu.Unlock()
+			f.mu.Lock()
+			f.failLeaseLocked(l, fmt.Sprintf("decoding partial from %s: %v", l.w.url, err))
+			f.mu.Unlock()
 			return
 		}
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	dur := time.Since(l.started)
 	if !l.cancelled {
-		co.releaseLocked(l)
+		f.releaseLocked(l)
 	}
 	u.leases = dropLease(u.leases, l)
-	if u.finished || j.state == service.StateDone || j.state == service.StateFailed {
+	fj := f.jobs[j]
+	if u.finished() || fj == nil {
 		return // a duplicate (speculation or expiry re-dispatch) already delivered
 	}
-	if co.meanUnitNs == 0 {
-		co.meanUnitNs = float64(dur)
-	} else {
-		co.meanUnitNs = 0.8*co.meanUnitNs + 0.2*float64(dur)
-	}
+	f.meanUnit = j.ObserveUnit(dur)
 	if l.w.meanUnitNs == 0 {
 		l.w.meanUnitNs = float64(dur)
 	} else {
 		l.w.meanUnitNs = 0.8*l.w.meanUnitNs + 0.2*float64(dur)
 	}
-	co.met.unitDur.Observe(dur.Seconds())
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitFinished, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
-		Detail: dur.Round(time.Millisecond).String(),
-	})
+	j.Emit(obs.Event{Event: obs.EventUnitFinished, Unit: unitName(u), Worker: l.w.url,
+		Detail: dur.Round(time.Millisecond).String()})
 	// Cancel any other outstanding copies of this unit; their pollers exit.
 	for _, ol := range u.leases {
-		co.releaseLocked(ol)
+		f.releaseLocked(ol)
 	}
 	u.leases = nil
-	if !u.shard.Enabled() {
+	if !u.Shard.Enabled() {
 		// Unsharded: the worker's complete artifact is proxied verbatim, so
 		// the coordinator's bytes are the worker's bytes are the local run's.
-		u.finished = true
-		u.state = service.StateDone
-		j.remaining--
-		j.artifact = raw
-		co.putCacheLocked(j.hash, raw)
-		co.completeLocked(j, service.StateDone, "", true)
+		j.UnitDone(u.Unit)
+		j.Deliver(raw)
 		return
 	}
-	co.putCacheLocked(experiments.ShardSpecHash(j.experiment, j.spec, u.shard), raw)
-	if err := co.foldLocked(u, rep); err != nil {
-		u.state = service.StateFailed
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
+	j.CachePut(experiments.ShardSpecHash(j.Experiment, j.Spec, u.Shard), raw)
+	if err := f.foldLocked(fj, u, rep); err != nil {
+		u.State = service.StateFailed
+		j.Fail(err.Error())
 	}
 }
 
-// foldLocked merges one shard partial into its job, finalising the job when
-// it was the last. Callers hold co.mu.
-func (co *Coordinator) foldLocked(u *funit, rep *experiments.Report) error {
-	j := u.job
-	if err := j.merger.Add(rep); err != nil {
+// foldLocked merges one shard partial into its job and, when it was the
+// last, renders the merged artifact and completes the job. The merger's
+// exact-path refold makes the bytes identical to a local
+// `cmd/experiments run -o`. Callers hold f.mu.
+func (f *fleet) foldLocked(fj *fjob, u *funit, rep *experiments.Report) error {
+	if err := fj.merger.Add(rep); err != nil {
 		return err
 	}
-	u.finished = true
-	u.state = service.StateDone
-	j.remaining--
-	if j.remaining == 0 {
-		co.finalizeLocked(j)
+	if !u.Job.UnitDone(u.Unit) {
+		return nil
 	}
-	return nil
-}
-
-// finalizeLocked renders the merged artifact and completes the job. The
-// merger's exact-path refold makes the bytes identical to a local
-// `cmd/experiments run -o`. Callers hold co.mu.
-func (co *Coordinator) finalizeLocked(j *fedJob) {
-	rep, err := j.merger.Report()
+	merged, err := fj.merger.Report()
 	if err != nil {
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
-		return
+		u.Job.Fail(err.Error())
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := experiments.WriteArtifact(&buf, []*experiments.Report{rep}); err != nil {
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
-		return
-	}
-	j.artifact = buf.Bytes()
-	co.events.Emit(obs.Event{
-		Event: obs.EventMerge, Trace: j.trace, Job: j.id, Experiment: j.experiment,
-		Detail: fmt.Sprintf("%d shard partials", len(j.units)),
-	})
-	co.putCacheLocked(j.hash, j.artifact)
-	co.completeLocked(j, service.StateDone, "", true)
-}
-
-// putCacheLocked stores one artifact, counting and logging (not failing) on
-// error. Callers hold co.mu.
-func (co *Coordinator) putCacheLocked(hash string, raw []byte) {
-	if err := co.cache.Put(hash, raw); err != nil {
-		co.met.cacheWriteErr.Inc()
-		log.Printf("federation: artifact cache write failed (kept in memory): %v", err)
-	}
+	u.Job.Finish(merged)
+	return nil
 }

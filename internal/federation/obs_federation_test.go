@@ -134,6 +134,11 @@ func TestFleetHealthMatchesMetrics(t *testing.T) {
 	if got := mustFind(t, samples, "battsched_unit_duration_seconds_count"); got < 2 {
 		t.Errorf("unit_duration_seconds_count = %v, want >= 2 (2 shard units delivered)", got)
 	}
+	// The coordinator runs no simulations, so it exports no sim series: in
+	// process they would only repeat the workers' counts.
+	if _, ok := obs.Find(samples, "battsched_engine_runs_total"); ok {
+		t.Error("coordinator /metrics exports battsched_engine_runs_total")
+	}
 	// Per-worker series, labelled by worker URL, both live.
 	for _, url := range []string{tsA.URL, tsB.URL} {
 		if got := mustFind(t, samples, "battsched_worker_up", "worker", url); got != 1 {

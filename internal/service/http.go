@@ -17,7 +17,8 @@ import (
 // maxRequestBody bounds POST payloads; a JobRequest is a few hundred bytes.
 const maxRequestBody = 1 << 20
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the front end's HTTP API, plus the executor's own routes
+// (the coordinator's /v1/workers):
 //
 //	POST /v1/jobs              submit {experiment, spec, shards}; 200 when
 //	                           served from cache, 202 when queued
@@ -45,11 +46,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/batteries", s.handleBatteries)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.metrics.Handler())
+	s.exec.Routes(mux)
 	return mux
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -57,8 +59,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps service errors onto HTTP statuses.
-func writeError(w http.ResponseWriter, err error) {
+// WriteError maps service errors onto HTTP statuses.
+func WriteError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -84,58 +86,63 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, experiments.ErrBadConfig):
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, apiError{Error: err.Error()})
+	WriteJSON(w, status, apiError{Error: err.Error()})
+}
+
+// DecodeRequest decodes a bounded JSON request body into v. Unknown fields
+// are rejected so a typo'd key fails loudly instead of silently running the
+// default configuration.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	// Unknown fields are rejected so a typo'd spec key fails loudly instead
-	// of silently running the default configuration.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding job request: %v", err)})
+	if err := DecodeRequest(w, r, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding job request: %v", err)})
 		return
 	}
 	req.TraceID = obs.TraceFromRequest(r)
 	st, err := s.Submit(req)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	status := http.StatusAccepted
 	if st.State == StateDone {
 		status = http.StatusOK // served from cache
 	}
-	writeJSON(w, status, st)
+	WriteJSON(w, status, st)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	artifact, err := s.Artifact(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if r.URL.Query().Get("format") == "table" {
 		reports, err := experiments.ReadArtifact(bytes.NewReader(artifact))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, rep := range reports {
 			text, err := experiments.FormatReport(rep)
 			if err != nil {
-				writeError(w, err)
+				WriteError(w, err)
 				return
 			}
 			fmt.Fprint(w, text)
@@ -154,7 +161,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range experiments.Names() {
 		d, err := experiments.Lookup(name)
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		infos = append(infos, ExperimentInfo{
@@ -164,11 +171,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 			Shardable: d.Shardable,
 		})
 	}
-	writeJSON(w, http.StatusOK, infos)
+	WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleBatteries(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, battery.Names())
+	WriteJSON(w, http.StatusOK, battery.Names())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -179,5 +186,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		// carries the full snapshot for operators.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }

@@ -9,16 +9,17 @@ import (
 
 // unitBuckets are the unit-duration histogram bounds (seconds): quick-spec
 // shard units land in the millisecond buckets, paper-sized runs in the
-// minute ones.
+// minute ones, and federated units (worker execution plus the dispatch,
+// poll and fetch hops) reach the last.
 var unitBuckets = []float64{
-	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
+	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
 }
 
-// serverMetrics holds the daemon's registry-backed counters and histograms.
-// Every series is created up front in newServerMetrics — never while holding
-// s.mu — so render-time gauge callbacks that take s.mu cannot deadlock
-// against registration (see the obs locking contract).
-type serverMetrics struct {
+// frontMetrics holds the front end's registry-backed counters and
+// histograms. Every series is created up front in newFrontMetrics — never
+// while holding s.mu — so render-time gauge callbacks that take s.mu cannot
+// deadlock against registration (see the obs locking contract).
+type frontMetrics struct {
 	jobsComputed  *obs.Counter // battsched_jobs_total{admission="computed"}
 	jobsCoalesced *obs.Counter // battsched_jobs_total{admission="coalesced"}
 	jobsCached    *obs.Counter // battsched_jobs_total{admission="cached"}
@@ -34,11 +35,11 @@ type serverMetrics struct {
 	unitDur       *obs.Histogram
 }
 
-func newServerMetrics(r *obs.Registry) serverMetrics {
-	const jobsHelp = "Job submissions by admission path: computed (queued for execution), coalesced (attached to an in-flight duplicate), cached (served from the report cache)."
+func newFrontMetrics(r *obs.Registry) frontMetrics {
+	const jobsHelp = "Job submissions by admission path: computed (handed to the executor), coalesced (attached to an in-flight duplicate), cached (served from the report cache)."
 	const rejHelp = "Rejected submissions by reason: queue_full (429), draining (503)."
-	const journalHelp = "Job journal failures by operation: append (accept/done record writes), compact (log rewrites)."
-	return serverMetrics{
+	const journalHelp = "Job journal failures by operation: append (accept/done/lease record writes), compact (log rewrites)."
+	return frontMetrics{
 		jobsComputed:  r.Counter("battsched_jobs_total", jobsHelp, "admission", "computed"),
 		jobsCoalesced: r.Counter("battsched_jobs_total", jobsHelp, "admission", "coalesced"),
 		jobsCached:    r.Counter("battsched_jobs_total", jobsHelp, "admission", "cached"),
@@ -46,19 +47,19 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		jobsFailed:    r.Counter("battsched_jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
 		rejectedFull:  r.Counter("battsched_rejected_total", rejHelp, "reason", "queue_full"),
 		rejectedDrain: r.Counter("battsched_rejected_total", rejHelp, "reason", "draining"),
-		cacheHits:     r.Counter("battsched_cache_hits_total", "Content-addressed report cache hits."),
+		cacheHits:     r.Counter("battsched_cache_hits_total", "Content-addressed report cache hits (complete runs and shard partials)."),
 		cacheMisses:   r.Counter("battsched_cache_misses_total", "Content-addressed report cache misses."),
 		cacheWriteErr: r.Counter("battsched_cache_write_errors_total", "Report cache write failures (the job still completed from memory)."),
 		journalAppend: r.Counter("battsched_journal_errors_total", journalHelp, "op", "append"),
 		journalComp:   r.Counter("battsched_journal_errors_total", journalHelp, "op", "compact"),
 		unitDur: r.Histogram("battsched_unit_duration_seconds",
-			"Shard unit execution duration.", unitBuckets),
+			"Shard unit duration: execution on a worker daemon, dispatch to delivery on a coordinator.", unitBuckets),
 	}
 }
 
 // journalError mirrors one journal failure onto the registry, separating
 // compaction failures (ErrCompaction) from plain append failures.
-func (m *serverMetrics) journalError(err error) {
+func (m *frontMetrics) journalError(err error) {
 	if errors.Is(err, journal.ErrCompaction) {
 		m.journalComp.Inc()
 	} else {
@@ -66,9 +67,9 @@ func (m *serverMetrics) journalError(err error) {
 	}
 }
 
-// registerGauges wires the instantaneous series to the same server fields
-// /healthz reports, so the two endpoints agree by construction. Called from
-// New before the worker pool starts; callbacks take s.mu at render time.
+// registerGauges wires the instantaneous series to the same state /healthz
+// reports, so the two endpoints agree by construction. Called from
+// NewServer before the executor runs; callbacks take s.mu at render time.
 func (s *Server) registerGauges() {
 	r := s.metrics
 	read := func(f func() float64) func() float64 {
@@ -78,16 +79,19 @@ func (s *Server) registerGauges() {
 			return f()
 		}
 	}
-	r.GaugeFunc("battsched_queue_depth", "Shard units waiting in the FIFO queue.",
-		read(func() float64 { return float64(s.queued) }))
+	load := func(f func(Load) float64) func() float64 {
+		return read(func() float64 { return f(s.exec.Load()) })
+	}
+	r.GaugeFunc("battsched_queue_depth", "Shard units waiting for an execution slot.",
+		load(func(l Load) float64 { return float64(l.Queued) }))
 	r.GaugeFunc("battsched_queue_depth_peak", "High-water mark of battsched_queue_depth over the daemon's lifetime.",
-		read(func() float64 { return float64(s.queuedPeak) }))
-	r.GaugeFunc("battsched_queue_capacity", "Queue bound in shard units.",
-		func() float64 { return float64(s.cfg.QueueCapacity) })
+		load(func(l Load) float64 { return float64(l.QueuedPeak) }))
+	r.GaugeFunc("battsched_queue_capacity", "Admission bound in shard units.",
+		func() float64 { return float64(s.queueCap) })
 	r.GaugeFunc("battsched_in_flight", "Shard units currently executing.",
-		read(func() float64 { return float64(s.inFlight) }))
-	r.GaugeFunc("battsched_workers", "Worker-pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
+		load(func(l Load) float64 { return float64(l.InFlight) }))
+	r.GaugeFunc("battsched_workers", "Execution slots.",
+		load(func(l Load) float64 { return float64(l.Slots) }))
 	r.GaugeFunc("battsched_jobs_tracked", "Jobs currently tracked in the job map.",
 		read(func() float64 { return float64(len(s.jobs)) }))
 	r.GaugeFunc("battsched_cache_entries", "Report cache in-memory entries.",
@@ -101,9 +105,12 @@ func (s *Server) registerGauges() {
 			}
 			return 0
 		}))
-	obs.RegisterSim(r, &obs.Sim)
 }
 
 // Metrics returns the daemon's metrics registry (the /metrics source), for
-// embedding and tests.
+// embedding, executors' own series and tests.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
+
+// Events returns the daemon's event log (nil without CacheDir; Emit is
+// nil-safe), for executors' records that belong to no job.
+func (s *Server) Events() *obs.EventLog { return s.events }
