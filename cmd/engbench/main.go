@@ -11,6 +11,13 @@
 // sink, i.e. the cost of recording in the current engine; CI tracks them to
 // catch recording-cost regressions.
 //
+// The table2_set0 row is the reused engine on the paper's real workload:
+// all five Table 2 schemes on set 0 of the full-size paper-default Table 2
+// (seed 1: 5 graphs, U = 0.70, 4 hyperperiods), run exactly as the Table 2
+// driver runs a set — one reused engine and profile recorder, scheme 0
+// recording the execution realisation and the others replaying it. One op is
+// the whole set; decisions counts the scheduling decisions in it.
+//
 // The engine report also carries the grid row: the scheduling sweep of a
 // quick scenario-grid pass (sets × all five Table 2 schemes, load profiles
 // recorded) through the chunked driver loop — each task set generated once,
@@ -118,6 +125,16 @@ type measurement struct {
 	Iterations  int     `json:"iterations"`
 }
 
+// toMeasurement extracts the per-op figures of a benchmark result.
+func toMeasurement(r testing.BenchmarkResult) measurement {
+	return measurement{
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  r.N,
+	}
+}
+
 // gridMeasurement is the quick-grid throughput comparison: the chunked
 // cross-scheme driver loop against the pre-refactor per-(set, scheme) shape.
 type gridMeasurement struct {
@@ -147,6 +164,19 @@ type gridMeasurement struct {
 	Speedup float64 `json:"speedup"`
 }
 
+// table2Measurement is the reused-engine row on full-size Table 2 set 0.
+type table2Measurement struct {
+	// Workload describes the set and how it is run.
+	Workload string `json:"workload"`
+	// Schemes is the number of Table 2 schemes one op runs.
+	Schemes int `json:"schemes"`
+	// Decisions is the number of scheduling decisions in one op, and
+	// NsPerDecision is NsPerOp / Decisions.
+	Decisions     int     `json:"decisions"`
+	NsPerDecision float64 `json:"ns_per_decision"`
+	measurement
+}
+
 // report is the emitted JSON document.
 type report struct {
 	Benchmark string `json:"benchmark"`
@@ -164,6 +194,8 @@ type report struct {
 	// profile storage survive across iterations, so allocations collapse to
 	// the per-run Result header; CI gates this at <= 10 allocs/op.
 	Reused measurement `json:"reused"`
+	// Table2 is the reused-engine row on full-size Table 2 set 0.
+	Table2 table2Measurement `json:"table2_set0"`
 	// Grid is the quick-grid throughput row; CI gates Speedup >= 1.5.
 	Grid gridMeasurement `json:"grid"`
 	// AllocRatio is Recorded.AllocsPerOp / Discard.AllocsPerOp: the
@@ -358,9 +390,9 @@ func benchBattery() batteryReport {
 	return rep
 }
 
-// table2Profile returns the load profile the Table 2 driver hands the
-// battery for set 0 of the paper-default run (seed 1) under BAS-2.
-func table2Profile() *profile.Profile {
+// table2Set0 returns the task system of set 0 of the full-size
+// paper-default Table 2 run (seed 1), with its processor and set seed.
+func table2Set0() (*taskgraph.System, *processor.Model, int64) {
 	proc := processor.Default()
 	seed := runner.SeedFor(1, 0)
 	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.70, proc.FMax(), rand.New(rand.NewSource(seed)))
@@ -368,6 +400,13 @@ func table2Profile() *profile.Profile {
 		fmt.Fprintln(os.Stderr, "engbench:", err)
 		os.Exit(1)
 	}
+	return sys, proc, seed
+}
+
+// table2Profile returns the load profile the Table 2 driver hands the
+// battery for set 0 of the paper-default run (seed 1) under BAS-2.
+func table2Profile() *profile.Profile {
+	sys, proc, seed := table2Set0()
 	bas2 := gridSchemes()[4]
 	res, err := core.Run(core.Config{
 		System:        sys,
@@ -549,8 +588,78 @@ func benchGrid() gridMeasurement {
 	return gm
 }
 
+// benchTable2Set0 times all five Table 2 schemes on full-size Table 2 set 0
+// through one reused engine and profile recorder, the Table 2 driver's loop
+// for one set (battery evaluation excluded, as in the grid row).
+func benchTable2Set0() table2Measurement {
+	const hyperperiods = 4
+	sys, proc, seed := table2Set0()
+	schemes := gridSchemes()
+	eng := core.NewEngine()
+	rec := core.NewProfileRecorder()
+	uni := taskgraph.NewUniformExecution(0.2, 1.0, 0)
+	exec := taskgraph.NewRecordedExecution(uni)
+	pass := func() (int, error) {
+		decisions := 0
+		uni.Reseed(seed)
+		exec.Restart(uni)
+		for i, s := range schemes {
+			if i > 0 {
+				exec.Replay()
+			}
+			rec.Reset()
+			if err := eng.Reset(core.Config{
+				System:        sys,
+				Processor:     proc,
+				DVS:           s.alg(),
+				Priority:      s.prio(),
+				ReadyPolicy:   s.policy,
+				FrequencyMode: core.DiscreteFrequency,
+				Execution:     exec,
+				Hyperperiods:  hyperperiods,
+				Seed:          seed,
+				Observer:      rec,
+			}); err != nil {
+				return 0, err
+			}
+			res, err := eng.Run()
+			if err != nil {
+				return 0, err
+			}
+			if res.DeadlineMisses != 0 {
+				return 0, fmt.Errorf("table2 set 0 scheme %s missed %d deadlines", s.name, res.DeadlineMisses)
+			}
+			decisions += res.SchedulingDecisions
+		}
+		return decisions, nil
+	}
+	decisions, err := pass()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "engbench:", err)
+		os.Exit(1)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pass(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	tm := table2Measurement{
+		Workload:    fmt.Sprintf("paper Table 2, full size, set 0 of seed 1 (%d graphs, U = 0.70, %d hyperperiods), every scheme on one reused engine", sys.NumGraphs(), hyperperiods),
+		Schemes:     len(schemes),
+		Decisions:   decisions,
+		measurement: toMeasurement(r),
+	}
+	if decisions > 0 {
+		tm.NsPerDecision = tm.NsPerOp / float64(decisions)
+	}
+	return tm
+}
+
 // benchEngine measures one BAS-2 hyperperiod under each observer sink plus
-// the reused-engine row and the quick-grid throughput row.
+// the reused-engine rows and the quick-grid throughput row.
 func benchEngine(graphs int) report {
 	simBefore := obs.Sim.Snapshot()
 	rng := rand.New(rand.NewSource(99))
@@ -583,12 +692,7 @@ func benchEngine(graphs int) report {
 				}
 			}
 		})
-		return measurement{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
+		return toMeasurement(r)
 	}
 
 	// runReused is the same workload on one reused Engine + ProfileRecorder,
@@ -624,12 +728,7 @@ func benchEngine(graphs int) report {
 				}
 			}
 		})
-		return measurement{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
+		return toMeasurement(r)
 	}
 
 	rep := report{
@@ -639,6 +738,7 @@ func benchEngine(graphs int) report {
 		Profile:   run(func() core.SegmentSink { return core.NewProfileRecorder() }),
 		Discard:   run(func() core.SegmentSink { return core.Discard }),
 		Reused:    runReused(),
+		Table2:    benchTable2Set0(),
 		Grid:      benchGrid(),
 	}
 	if rep.Discard.AllocsPerOp > 0 {
@@ -735,11 +835,15 @@ func compareBaseline(cur report, path string) ([]string, error) {
 	ns("profile ns/op", cur.Profile.NsPerOp, base.Profile.NsPerOp)
 	ns("discard ns/op", cur.Discard.NsPerOp, base.Discard.NsPerOp)
 	ns("reused ns/op", cur.Reused.NsPerOp, base.Reused.NsPerOp)
+	ns("table2_set0 ns/op", cur.Table2.NsPerOp, base.Table2.NsPerOp)
 	ns("grid ns/set", cur.Grid.NsPerSet, base.Grid.NsPerSet)
 	allocs("recorded allocs/op", cur.Recorded.AllocsPerOp, base.Recorded.AllocsPerOp)
 	allocs("profile allocs/op", cur.Profile.AllocsPerOp, base.Profile.AllocsPerOp)
 	allocs("discard allocs/op", cur.Discard.AllocsPerOp, base.Discard.AllocsPerOp)
 	allocs("reused allocs/op", cur.Reused.AllocsPerOp, base.Reused.AllocsPerOp)
+	if base.Table2.Iterations > 0 { // baselines older than the row lack it
+		allocs("table2_set0 allocs/op", cur.Table2.AllocsPerOp, base.Table2.AllocsPerOp)
+	}
 	allocs("grid allocs/set", cur.Grid.AllocsPerSet, base.Grid.AllocsPerSet)
 	return regs, nil
 }

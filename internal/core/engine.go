@@ -34,10 +34,10 @@ func Run(cfg Config) (*Result, error) {
 // Engine is a reusable scheduling engine. A zero Engine is ready for Reset;
 // NewEngine is provided for symmetry. Reset(cfg) followed by Run() produces a
 // Result byte-identical to Run(cfg), but every piece of scratch state — the
-// EDF-ordered released list, view/candidate/realisation buffers, the instance
-// free list, the estimator history map, the execution model's RNG and the
-// per-graph statistics — survives across runs, so steady-state allocations
-// drop from ~90 per run to ~1.
+// EDF-ordered released list, view/candidate/selection/realisation buffers,
+// the instance free list, the estimator history table, the execution model's
+// RNG and the per-graph statistics — survives across runs, so steady-state
+// allocations drop from ~80 per run to ~1.
 //
 // Aliasing contract: Result.PerGraph aliases engine-owned storage and
 // Result.Profile/Result.Trace alias the observer's storage (when the observer
@@ -164,25 +164,28 @@ type instance struct {
 	remaining  int     // nodes not yet done
 	adjustedWC float64 // the paper's WC_i
 	missed     bool
+
+	// wcLeft caches remainingWorstCase; wcStale marks it out of date. Every
+	// change to a node's executed cycles or done flag sets wcStale.
+	wcLeft  float64
+	wcStale bool
 }
 
-// view summarises the instance for the DVS algorithm and feasibility check.
-func (in *instance) view(g *taskgraph.Graph) dvs.InstanceView {
-	var rem float64
-	for i := range in.nodes {
-		if !in.nodes[i].done {
-			rem += in.nodes[i].wcRemaining()
+// remainingWorstCase is the worst-case work still to execute: the sum of the
+// unfinished nodes' remaining worst cases. The sum is cached until a node of
+// the instance next executes, and always recomputed in node order, so the
+// cached value has the bits a fresh sum would have.
+func (in *instance) remainingWorstCase() float64 {
+	if in.wcStale {
+		var rem float64
+		for i := range in.nodes {
+			if !in.nodes[i].done {
+				rem += in.nodes[i].wcRemaining()
+			}
 		}
+		in.wcLeft, in.wcStale = rem, false
 	}
-	return dvs.InstanceView{
-		GraphIndex:         in.graphIndex,
-		ReleaseTime:        in.release,
-		AbsoluteDeadline:   in.deadline,
-		Period:             g.Period,
-		TotalWCET:          g.TotalWCET(),
-		AdjustedWCET:       in.adjustedWC,
-		RemainingWorstCase: rem,
-	}
+	return in.wcLeft
 }
 
 // instanceBefore is the total EDF order of the released list: earliest
@@ -206,14 +209,11 @@ type candidateRef struct {
 	imminent bool // true when the candidate belongs to the earliest-deadline incomplete instance
 }
 
-// candSorter stably orders candidate scratch slices by (value, EDF position,
-// node). It lives inside the engine so sorting allocates nothing per decision.
-type candSorter struct{ c []candidateRef }
-
-func (s *candSorter) Len() int      { return len(s.c) }
-func (s *candSorter) Swap(i, j int) { s.c[i], s.c[j] = s.c[j], s.c[i] }
-func (s *candSorter) Less(i, j int) bool {
-	a, b := s.c[i], s.c[j]
+// candBefore is the order in which choose examines candidates: priority value,
+// then EDF position, then node. EDF position and node identify a candidate, so
+// for non-NaN values this is a strict total order and the best remaining
+// candidate is unique.
+func candBefore(a, b *candidateRef) bool {
 	if a.value != b.value {
 		return a.value < b.value
 	}
@@ -246,14 +246,15 @@ type engine struct {
 	labelsCache [][]string // labels built for the current system, kept across resets
 	names       []string   // per-graph display names, kept across resets
 
+	totalWCET []float64 // per-graph Graph.TotalWCET, computed on reset
+
 	// Scratch buffers and pre-bound state reused across scheduling decisions:
 	// after warm-up the decision loop allocates nothing.
 	viewsBuf []dvs.InstanceView
 	candsBuf []candidateRef
-	hypBuf   []dvs.InstanceView // frequencyAfter's hypothetical views
+	leftBuf  []int32 // choose's not-yet-examined candidate indices
 	segsBuf  []freqSegment
 	realBuf  []processor.RealizationSegment
-	sorter   candSorter
 	prioCtx  priority.Context
 	freeList []*instance // retired instances recycled by release
 
@@ -312,6 +313,10 @@ func (e *engine) reset(cfg Config) {
 	n := cfg.System.NumGraphs()
 	e.nextRelease = resetFloats(e.nextRelease, n)
 	e.jobCounter = resetInts(e.jobCounter, n)
+	e.totalWCET = resetFloats(e.totalWCET, n)
+	for i, g := range cfg.System.Graphs {
+		e.totalWCET[i] = g.TotalWCET()
+	}
 	for i, in := range e.released {
 		e.freeList = append(e.freeList, in)
 		e.released[i] = nil
@@ -453,8 +458,9 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 	in.release = at
 	in.deadline = at + g.Period
 	in.remaining = g.NumNodes()
-	in.adjustedWC = g.TotalWCET()
+	in.adjustedWC = e.totalWCET[gi]
 	in.missed = false
+	in.wcStale = true
 	e.jobCounter[gi]++
 	for i := range in.nodes {
 		id := taskgraph.NodeID(i)
@@ -530,14 +536,24 @@ func (e *engine) hasPendingWork() bool {
 	return false
 }
 
-// views returns the InstanceViews of all released instances. The released
-// list is maintained in EDF order incrementally (see insertReleased), so no
+// views returns the InstanceViews of all released instances, which summarise
+// them for the DVS algorithm and the feasibility check. The released list is
+// maintained in EDF order incrementally (see insertReleased), so no
 // per-decision sort is needed; the views land in a scratch buffer reused
 // across decisions.
 func (e *engine) views() []dvs.InstanceView {
 	e.viewsBuf = e.viewsBuf[:0]
 	for _, in := range e.released {
-		e.viewsBuf = append(e.viewsBuf, in.view(e.sys.Graphs[in.graphIndex]))
+		gi := in.graphIndex
+		e.viewsBuf = append(e.viewsBuf, dvs.InstanceView{
+			GraphIndex:         gi,
+			ReleaseTime:        in.release,
+			AbsoluteDeadline:   in.deadline,
+			Period:             e.sys.Graphs[gi].Period,
+			TotalWCET:          e.totalWCET[gi],
+			AdjustedWCET:       in.adjustedWC,
+			RemainingWorstCase: in.remainingWorstCase(),
+		})
 	}
 	return e.viewsBuf
 }
@@ -652,12 +668,13 @@ func (e *engine) estimateRemaining(in *instance, ni int, ns *nodeState) float64 
 	return est
 }
 
-// choose orders the candidates with the priority function and returns the
+// choose values the candidates with the priority function and returns the
 // best feasible one. Candidates of the most imminent task graph are always
 // feasible; under the AllReleased policy out-of-order candidates must pass
-// the feasibility check, and if none passes the best most-imminent candidate
-// is used (which always exists, so deadlines are never at risk).
-func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq float64) candidateRef {
+// the feasibility check. The most imminent graph always has a ready
+// candidate, so the search always ends with one that keeps every deadline.
+// The returned pointer aliases cands.
+func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq float64) *candidateRef {
 	e.prioCtx = priority.Context{
 		Now:              e.now,
 		CurrentFrequency: effFreq,
@@ -669,12 +686,29 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 		e.fAfterFreq = effFreq
 		e.prioCtx.FrequencyAfter = e.fAfterFn
 	}
+	if cap(e.leftBuf) < len(cands) {
+		e.leftBuf = make([]int32, 0, cap(cands))
+	}
+	left := e.leftBuf[:0]
 	for i := range cands {
 		cands[i].value = e.cfg.Priority.Priority(cands[i].cand, &e.prioCtx)
+		left = append(left, int32(i))
 	}
-	e.sorter.c = cands
-	sort.Stable(&e.sorter)
-	for _, c := range cands {
+	// Examine the candidates in candBefore order by repeated minimum
+	// selection over the indices not yet examined. The first pick is almost
+	// always taken, so this is about one pass over the candidates.
+	var best *candidateRef
+	for len(left) > 0 {
+		m := 0
+		for k := 1; k < len(left); k++ {
+			if candBefore(&cands[left[k]], &cands[left[m]]) {
+				m = k
+			}
+		}
+		c := &cands[left[m]]
+		if best == nil {
+			best = c
+		}
 		if c.imminent {
 			return c
 		}
@@ -683,48 +717,43 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 			return c
 		}
 		e.res.FeasibilityRejections++
+		left[m] = left[len(left)-1]
+		left = left[:len(left)-1]
 	}
-	// No out-of-order candidate is feasible: fall back to the best candidate
-	// of the most imminent incomplete instance (EDF order), which is always
-	// safe.
-	for _, c := range cands {
-		if c.imminent {
-			return c
-		}
-	}
-	// Defensive: should be unreachable because the most imminent incomplete
-	// instance always has at least one ready node.
-	return cands[0]
+	// Defensive: unreachable because the most imminent incomplete instance
+	// always has a ready node, and its candidates are taken when reached.
+	return best
 }
 
 // evalFrequencyAfter is the closure used by pUBS to evaluate s_{o,k}: the
 // reference frequency the DVS algorithm would select if the candidate
 // completed next after consuming assumedCycles. It is bound once per engine
 // (fAfterFn) and reads the current decision's views and effective frequency
-// from fAfterViews/fAfterFreq; the hypothetical views land in one scratch
-// buffer reused across every candidate evaluation (previously a fresh copy of
-// the whole views slice was allocated per candidate — O(candidates ×
-// instances) allocations per decision under pUBS).
+// from fAfterViews/fAfterFreq. Only the candidate's own view differs in the
+// hypothetical, so that view is overwritten in place for the DVS query and
+// restored afterwards; the engine owns the views slice.
 func (e *engine) evalFrequencyAfter(c priority.Candidate, assumedCycles float64) float64 {
-	e.hypBuf = append(e.hypBuf[:0], e.fAfterViews...)
-	hyp := e.hypBuf
-	if c.EDFPosition >= 0 && c.EDFPosition < len(hyp) {
-		v := hyp[c.EDFPosition]
-		v.AdjustedWCET = v.AdjustedWCET - c.RemainingWCET + assumedCycles
-		if v.AdjustedWCET < 0 {
-			v.AdjustedWCET = 0
-		}
-		v.RemainingWorstCase -= c.RemainingWCET
-		if v.RemainingWorstCase < 0 {
-			v.RemainingWorstCase = 0
-		}
-		hyp[c.EDFPosition] = v
-	}
 	then := e.now
 	if e.fAfterFreq > 0 {
 		then += assumedCycles / e.fAfterFreq
 	}
-	return e.cfg.DVS.SelectFrequency(then, e.fmax, hyp)
+	views := e.fAfterViews
+	if c.EDFPosition < 0 || c.EDFPosition >= len(views) {
+		return e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	}
+	v := &views[c.EDFPosition]
+	adjusted, remaining := v.AdjustedWCET, v.RemainingWorstCase
+	v.AdjustedWCET = adjusted - c.RemainingWCET + assumedCycles
+	if v.AdjustedWCET < 0 {
+		v.AdjustedWCET = 0
+	}
+	v.RemainingWorstCase -= c.RemainingWCET
+	if v.RemainingWorstCase < 0 {
+		v.RemainingWorstCase = 0
+	}
+	f := e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	v.AdjustedWCET, v.RemainingWorstCase = adjusted, remaining
+	return f
 }
 
 // idle advances time with the processor idle, emitting one segment at the
@@ -762,7 +791,7 @@ func (e *engine) nextEvent() float64 {
 
 // execute runs the chosen candidate until it completes or the next release
 // arrives, whichever comes first, then processes the completion if any.
-func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment) {
+func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegment) {
 	in := c.inst
 	ns := &in.nodes[c.cand.Node]
 	g := e.sys.Graphs[in.graphIndex]
@@ -823,6 +852,7 @@ func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment
 	}
 
 	ns.executed += cycles
+	in.wcStale = true
 	e.res.BusyTime += dur
 	e.res.ExecutedCycles += cycles
 	e.now += dur
@@ -838,6 +868,7 @@ func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment
 func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskgraph.Graph) {
 	ns.done = true
 	ns.executed = ns.actual
+	in.wcStale = true
 	in.remaining--
 	in.adjustedWC += ns.actual - ns.wcet
 	if in.adjustedWC < 0 {

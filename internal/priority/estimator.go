@@ -23,6 +23,12 @@ const DefaultInitialFraction = 0.6
 // HistoryEstimator keeps an exponentially weighted moving average of the
 // actual/WCET ratio of each node across instances. It is safe for concurrent
 // use.
+//
+// The history is a dense table indexed by (graphIndex, nodeID), as the engine
+// passes them: positions in the system and in the graph. The table grows to
+// the largest index observed, so memory follows the largest index rather than
+// the number of observed nodes. A negative index has no entry: Observe
+// ignores it and Estimate answers as for a node never observed.
 type HistoryEstimator struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]; larger values weigh the
 	// most recent instance more heavily.
@@ -32,8 +38,23 @@ type HistoryEstimator struct {
 	InitialFraction float64
 
 	mu   sync.Mutex
-	hist map[nodeKey]float64
+	rows [][]histEntry // rows[graphIndex][nodeID]
+	n    int           // entries with recorded history
 }
+
+// histEntry is one node's recorded actual/WCET ratio.
+type histEntry struct {
+	frac float64
+	seen bool
+}
+
+// Minimum table sizes on first growth, so that the paper's workloads (five
+// graphs of at most 15 nodes) take one allocation for the rows and one per
+// graph, fewer than a map of the same entries takes.
+const (
+	minHistRows   = 8
+	minHistRowLen = 16
+)
 
 // NewHistoryEstimator returns a history estimator with the given smoothing
 // factor (clamped to (0,1]; 0 selects 0.5) and the default initial fraction.
@@ -41,16 +62,35 @@ func NewHistoryEstimator(alpha float64) *HistoryEstimator {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}
-	return &HistoryEstimator{Alpha: alpha, InitialFraction: DefaultInitialFraction, hist: make(map[nodeKey]float64)}
+	return &HistoryEstimator{Alpha: alpha, InitialFraction: DefaultInitialFraction}
 }
 
-// nodeKey identifies a node within a system. A comparable struct key keeps
-// Estimate/Observe allocation-free (they sit on the scheduler's per-decision
-// hot path; the previous fmt.Sprintf string key dominated the engine's
-// allocation profile).
-type nodeKey struct{ graph, node int }
+// lookup returns the entry of (graphIndex, nodeID); the zero entry when the
+// table does not hold it.
+func (h *HistoryEstimator) lookup(graphIndex, nodeID int) histEntry {
+	if uint(graphIndex) >= uint(len(h.rows)) {
+		return histEntry{}
+	}
+	row := h.rows[graphIndex]
+	if uint(nodeID) >= uint(len(row)) {
+		return histEntry{}
+	}
+	return row[nodeID]
+}
 
-func key(graphIndex, nodeID int) nodeKey { return nodeKey{graphIndex, nodeID} }
+// slot returns the entry of (graphIndex, nodeID) for non-negative indices,
+// growing the table to hold it.
+func (h *HistoryEstimator) slot(graphIndex, nodeID int) *histEntry {
+	if graphIndex >= len(h.rows) {
+		h.rows = append(h.rows, make([][]histEntry, max(graphIndex+1, minHistRows)-len(h.rows))...)
+	}
+	row := h.rows[graphIndex]
+	if nodeID >= len(row) {
+		row = append(row, make([]histEntry, max(nodeID+1, minHistRowLen)-len(row))...)
+		h.rows[graphIndex] = row
+	}
+	return &row[nodeID]
+}
 
 // Estimate implements Estimator.
 func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float64 {
@@ -58,9 +98,10 @@ func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float6
 		return 0
 	}
 	h.mu.Lock()
-	frac, ok := h.hist[key(graphIndex, nodeID)]
+	e := h.lookup(graphIndex, nodeID)
 	h.mu.Unlock()
-	if !ok {
+	frac := e.frac
+	if !e.seen {
 		frac = h.InitialFraction
 		if frac <= 0 || frac > 1 {
 			frac = DefaultInitialFraction
@@ -78,29 +119,33 @@ func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float6
 
 // Observe implements Estimator.
 func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64) {
-	if wcet <= 0 || actual <= 0 {
+	if wcet <= 0 || actual <= 0 || graphIndex < 0 || nodeID < 0 {
 		return
 	}
 	frac := actual / wcet
 	if frac > 1 {
 		frac = 1
 	}
-	k := key(graphIndex, nodeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if prev, ok := h.hist[k]; ok {
-		h.hist[k] = (1-h.Alpha)*prev + h.Alpha*frac
+	e := h.slot(graphIndex, nodeID)
+	if e.seen {
+		e.frac = (1-h.Alpha)*e.frac + h.Alpha*frac
 	} else {
-		h.hist[k] = frac
+		e.frac, e.seen = frac, true
+		h.n++
 	}
 }
 
-// Reset forgets all recorded history while keeping the map's storage, so a
+// Reset forgets all recorded history while keeping the table's storage, so a
 // reused estimator starts the next simulation from InitialFraction without
-// reallocating its buckets.
+// reallocating.
 func (h *HistoryEstimator) Reset() {
 	h.mu.Lock()
-	clear(h.hist)
+	for _, row := range h.rows {
+		clear(row)
+	}
+	h.n = 0
 	h.mu.Unlock()
 }
 
@@ -108,7 +153,7 @@ func (h *HistoryEstimator) Reset() {
 func (h *HistoryEstimator) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.hist)
+	return h.n
 }
 
 // OracleEstimator returns a fixed fraction of the WCET and ignores

@@ -74,7 +74,8 @@ type Function interface {
 // current speed and s_{o,k} the speed after appending the candidate to the
 // partial order. Candidates that promise the largest speed reduction per
 // cycle of execution get the smallest values. Candidates that offer no speed
-// reduction are pushed to the back (but remain schedulable).
+// reduction are pushed to the back (but remain schedulable); among themselves
+// they tie (see Priority).
 type PUBS struct{}
 
 // NewPUBS returns the pUBS priority function.
@@ -115,7 +116,11 @@ func (PUBS) Priority(c Candidate, ctx *Context) float64 {
 	}
 	den := so*so - sok*sok
 	if den <= 1e-15 {
-		// No expected speed reduction: de-prioritise, larger tasks last.
+		// No expected speed reduction: de-prioritise behind every candidate
+		// that promises one. The sum rounds to exactly 1e30 for any xk below
+		// ulp(1e30)/2 ≈ 7e13 cycles, so realistic candidates here all get
+		// the same value and the scheduler's tie-break (EDF position, then
+		// node) orders them, not their size.
 		return 1e30 + xk
 	}
 	return xk / den

@@ -252,3 +252,28 @@ func TestHistoryEstimatorBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPUBSNoReductionCandidatesTie pins what the no-reduction sentinel
+// 1e30 + xk does: for realistic sizes the sum rounds to exactly 1e30, so
+// candidates of different sizes that promise no speed reduction tie, and the
+// scheduler's tie-break (EDF position, then node) orders them.
+func TestPUBSNoReductionCandidatesTie(t *testing.T) {
+	p := NewPUBS()
+	ctx := &Context{
+		CurrentFrequency: 0.5e9,
+		FMax:             1e9,
+		// Completing any candidate leaves the frequency where it is.
+		FrequencyAfter: func(Candidate, float64) float64 { return 0.5e9 },
+	}
+	for _, xk := range []float64{1e6, 3.3e6, 1e7, 1e9} {
+		c := Candidate{RemainingWCET: 2 * xk, EstimatedActual: xk}
+		if got := p.Priority(c, ctx); got != 1e30 {
+			t.Fatalf("no-reduction priority for X_k = %g: %v, want exactly 1e30", xk, got)
+		}
+	}
+	// A candidate that does promise a reduction still ranks ahead.
+	ctx.FrequencyAfter = func(Candidate, float64) float64 { return 0.4e9 }
+	if got := p.Priority(Candidate{RemainingWCET: 2e7, EstimatedActual: 1e7}, ctx); got >= 1e30 {
+		t.Fatalf("reducing candidate priority %v, want below the 1e30 sentinel", got)
+	}
+}
