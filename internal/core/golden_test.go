@@ -11,6 +11,7 @@ import (
 
 	"battsched/internal/dvs"
 	"battsched/internal/priority"
+	"battsched/internal/taskgraph"
 	"battsched/internal/tgff"
 )
 
@@ -113,5 +114,81 @@ func TestGoldenEngineSchemes(t *testing.T) {
 			fmt.Fprintf(&b, "=== %s %s ===\n%s", s.name, m.name, goldenResult(res))
 		}
 	}
+
+	// A hand-built system whose largest graph has more than 64 nodes, with
+	// fan-out, join and diamond shapes, so that per-instance ready sets span
+	// several 64-bit words and nodes become ready at joins.
+	wide := wideJoinSystem()
+	for _, s := range []struct {
+		name   string
+		alg    dvs.Algorithm
+		prio   priority.Function
+		policy ReadyPolicy
+		mode   FrequencyMode
+	}{
+		{"wide bas2", dvs.NewLAEDF(), priority.NewPUBS(), AllReleased, ContinuousFrequency},
+		{"wide bas2", dvs.NewLAEDF(), priority.NewPUBS(), AllReleased, DiscreteFrequency},
+		{"wide fifo", dvs.NewLAEDF(), priority.NewFIFO(), MostImminentOnly, ContinuousFrequency},
+	} {
+		res, err := Run(Config{
+			System:        wide.Clone(),
+			DVS:           s.alg,
+			Priority:      s.prio,
+			ReadyPolicy:   s.policy,
+			FrequencyMode: s.mode,
+			Hyperperiods:  2,
+			Seed:          7,
+		})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", s.name, s.mode, err)
+		}
+		fmt.Fprintf(&b, "=== %s %s ===\n%s", s.name, s.mode, goldenResult(res))
+	}
 	checkGolden(t, "engine_schemes", b.String())
+}
+
+// wideJoinSystem returns a three-graph system at utilisation 0.7 (fmax 1 GHz):
+//   - W (80 nodes, period 0.2 s): node 0 fans out to nodes 1..66; nodes
+//     1..33 join into 67 and 34..66 into 68; 67 and 68 join into 69 (a
+//     diamond over two joins); nodes 70..79 have no predecessors, and 79
+//     follows 70.
+//   - D (4 nodes, period 0.05 s): the diamond 0→{1,2}→3.
+//   - J (5 nodes, period 0.1 s): 0..3 join into 4.
+func wideJoinSystem() *taskgraph.System {
+	wcet := func(i int) float64 { return float64((i*7919)%13+1) * 1e5 }
+	w := taskgraph.NewGraph("W", 0.2)
+	for i := 0; i < 80; i++ {
+		w.AddNode(fmt.Sprintf("w%d", i), wcet(i))
+	}
+	for i := 1; i <= 66; i++ {
+		w.AddEdge(0, taskgraph.NodeID(i))
+	}
+	for i := 1; i <= 33; i++ {
+		w.AddEdge(taskgraph.NodeID(i), 67)
+		w.AddEdge(taskgraph.NodeID(i+33), 68)
+	}
+	w.AddEdge(67, 69)
+	w.AddEdge(68, 69)
+	w.AddEdge(70, 79)
+
+	d := taskgraph.NewGraph("D", 0.05)
+	for i := 0; i < 4; i++ {
+		d.AddNode(fmt.Sprintf("d%d", i), wcet(i+3)*10)
+	}
+	d.AddEdge(0, 1)
+	d.AddEdge(0, 2)
+	d.AddEdge(1, 3)
+	d.AddEdge(2, 3)
+
+	j := taskgraph.NewGraph("J", 0.1)
+	for i := 0; i < 5; i++ {
+		j.AddNode(fmt.Sprintf("j%d", i), wcet(i+5)*10)
+	}
+	for i := 0; i < 4; i++ {
+		j.AddEdge(taskgraph.NodeID(i), 4)
+	}
+
+	sys := taskgraph.NewSystem(w, d, j)
+	sys.ScaleToUtilization(0.7, 1e9)
+	return sys
 }

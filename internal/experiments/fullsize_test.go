@@ -25,6 +25,9 @@ var fullSizeRuns = []struct {
 	{"table2", "table2", Spec{}},
 	{"table2-kibam-oracle", "table2", Spec{Battery: "kibam", Oracle: true}},
 	{"figure6", "figure6", Spec{}},
+	{"grid", "grid", Spec{}},
+	{"ablation", "ablation", Spec{}},
+	{"curve", "curve", Spec{}},
 }
 
 // TestFullSizeArtifactHashes recomputes the SHA-256 of the WriteArtifact
