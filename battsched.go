@@ -142,6 +142,7 @@ type (
 	// Estimator predicts actual execution requirements (X_k) for pUBS.
 	Estimator = priority.Estimator
 	// HistoryEstimator keeps a per-node EWMA of observed actual/WCET ratios.
+	// It is not safe for concurrent use: give each concurrent run its own.
 	HistoryEstimator = priority.HistoryEstimator
 )
 

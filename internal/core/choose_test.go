@@ -8,6 +8,7 @@ import (
 
 	"battsched/internal/dvs"
 	"battsched/internal/priority"
+	"battsched/internal/taskgraph"
 	"battsched/internal/tgff"
 )
 
@@ -189,13 +190,13 @@ func (p *frequencyAfterCheck) Name() string { return p.inner.Name() }
 func (p *frequencyAfterCheck) Priority(c priority.Candidate, ctx *priority.Context) float64 {
 	if ctx.FrequencyAfter != nil {
 		for _, assumed := range []float64{c.EstimatedActual, c.RemainingWCET, 0} {
-			before := append([]dvs.InstanceView(nil), p.e.fAfterViews...)
+			before := append([]dvs.InstanceView(nil), p.e.views...)
 			want := copyFrequencyAfter(p.e, before, c, assumed)
 			got := ctx.FrequencyAfter(c, assumed)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				p.t.Fatalf("FrequencyAfter(pos %d, node %d, %g) = %v, copy-based reference %v", c.EDFPosition, c.Node, assumed, got, want)
 			}
-			if !sameViews(before, p.e.fAfterViews) {
+			if !sameViews(before, p.e.views) {
 				p.t.Fatalf("FrequencyAfter(pos %d, node %d, %g) left the views modified", c.EDFPosition, c.Node, assumed)
 			}
 			p.evals++
@@ -215,61 +216,105 @@ func TestPUBSFrequencyAfterMatchesCopyAndRestoresViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide := wideJoinSystem()
 	for _, alg := range []dvs.Algorithm{dvs.NewLAEDF(), dvs.NewCCEDF(), dvs.NewStatic(), dvs.NewNoDVS()} {
-		t.Run(alg.Name(), func(t *testing.T) {
-			cfg := Config{
-				System:        sys,
-				DVS:           alg,
-				Priority:      priority.NewPUBS(),
-				ReadyPolicy:   AllReleased,
-				FrequencyMode: DiscreteFrequency,
-				Hyperperiods:  1,
-				Seed:          3,
-				Observer:      Discard,
-			}
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(alg.Name(), func(t *testing.T) { steppedRunChecks(t, sys, alg) })
+		t.Run("wide-"+alg.Name(), func(t *testing.T) { steppedRunChecks(t, wide, alg) })
+	}
+}
 
-			en := NewEngine()
-			check := &frequencyAfterCheck{t: t, e: &en.e, inner: cfg.Priority}
-			cfg.Priority = check
-			if err := en.Reset(cfg); err != nil {
-				t.Fatal(err)
+// steppedRunChecks is TestPUBSFrequencyAfterMatchesCopyAndRestoresViews for
+// one system and DVS algorithm. Each decision it also checks the maintained
+// views against views built afresh, and the ready sets against the nodes.
+func steppedRunChecks(t *testing.T, sys *taskgraph.System, alg dvs.Algorithm) {
+	cfg := Config{
+		System:        sys,
+		DVS:           alg,
+		Priority:      priority.NewPUBS(),
+		ReadyPolicy:   AllReleased,
+		FrequencyMode: DiscreteFrequency,
+		Hyperperiods:  1,
+		Seed:          3,
+		Observer:      Discard,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	en := NewEngine()
+	check := &frequencyAfterCheck{t: t, e: &en.e, inner: cfg.Priority}
+	cfg.Priority = check
+	if err := en.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	e := &en.e
+	for {
+		e.releaseDue()
+		e.recordMisses()
+		e.dropCompleted()
+		if e.now >= e.horiz-timeEpsilon && !e.hasPendingWork() {
+			break
+		}
+		views := e.views
+		if !sameViews(views, freshViews(e)) {
+			t.Fatalf("decision %d: maintained views differ from views built afresh", e.res.SchedulingDecisions)
+		}
+		checkReadySets(t, e)
+		effFreq, segments := e.realize(e.selectFrequency())
+		cands := e.candidates()
+		e.res.SchedulingDecisions++
+		if len(cands) == 0 {
+			next := e.nextEvent()
+			if next <= e.now+timeEpsilon {
+				break
 			}
-			e := &en.e
-			for {
-				e.releaseDue()
-				e.recordMisses()
-				e.dropCompleted()
-				if e.now >= e.horiz-timeEpsilon && !e.hasPendingWork() {
-					break
-				}
-				views := e.views()
-				effFreq, segments := e.realize(e.cfg.DVS.SelectFrequency(e.now, e.fmax, views))
-				cands := e.candidates(views, effFreq)
-				e.res.SchedulingDecisions++
-				if len(cands) == 0 {
-					next := e.nextEvent()
-					if next <= e.now+timeEpsilon {
-						break
-					}
-					e.idle(next - e.now)
-					continue
-				}
-				before := append([]dvs.InstanceView(nil), views...)
-				chosen := e.choose(cands, views, effFreq)
-				if !sameViews(before, views) {
-					t.Fatalf("decision %d: choose modified the views", e.res.SchedulingDecisions)
-				}
-				e.execute(chosen, effFreq, segments)
-			}
-			e.finalize()
-			if check.evals == 0 {
-				t.Fatal("no FrequencyAfter evaluations")
-			}
-			equalResults(t, alg.Name(), want, e.res)
+			e.idle(next - e.now)
+			continue
+		}
+		before := append([]dvs.InstanceView(nil), views...)
+		chosen := e.choose(cands, views, effFreq)
+		if !sameViews(before, views) {
+			t.Fatalf("decision %d: choose modified the views", e.res.SchedulingDecisions)
+		}
+		e.execute(chosen, effFreq, segments)
+	}
+	e.finalize()
+	if check.evals == 0 {
+		t.Fatal("no FrequencyAfter evaluations")
+	}
+	equalResults(t, alg.Name(), want, e.res)
+}
+
+// freshViews builds the views of the released list from scratch, as the
+// engine did once per decision before it maintained them incrementally.
+func freshViews(e *engine) []dvs.InstanceView {
+	var out []dvs.InstanceView
+	for _, in := range e.released {
+		gi := in.graphIndex
+		out = append(out, dvs.InstanceView{
+			GraphIndex:         gi,
+			ReleaseTime:        in.release,
+			AbsoluteDeadline:   in.deadline,
+			Period:             e.sys.Graphs[gi].Period,
+			TotalWCET:          e.sys.Graphs[gi].TotalWCET(),
+			AdjustedWCET:       in.adjustedWC,
+			RemainingWorstCase: in.remainingWorstCase(),
 		})
+	}
+	return out
+}
+
+// checkReadySets requires every released instance's ready bit of a node to be
+// set exactly when the node is not done and all its predecessors are.
+func checkReadySets(t *testing.T, e *engine) {
+	t.Helper()
+	for pos, in := range e.released {
+		for ni := range in.nodes {
+			want := !in.nodes[ni].done && in.nodes[ni].predsLeft == 0
+			if got := in.ready[ni>>6]&(1<<(uint(ni)&63)) != 0; got != want {
+				t.Fatalf("decision %d: instance %d node %d ready bit %v, want %v", e.res.SchedulingDecisions, pos, ni, got, want)
+			}
+		}
 	}
 }

@@ -97,7 +97,9 @@ type Config struct {
 	// Priority orders the ready list (nil selects priority.NewFIFO()).
 	Priority priority.Function
 	// Estimator predicts actual execution requirements for the priority
-	// function (nil selects priority.NewHistoryEstimator(0.5)).
+	// function (nil selects priority.NewHistoryEstimator(0.5)). The run
+	// calls it from one goroutine; an estimator without locking, such as
+	// HistoryEstimator, must not be shared with a concurrent run.
 	Estimator priority.Estimator
 	// OracleEstimates, when true, feeds the priority function the true actual
 	// cycles of each node instance instead of the estimator's prediction.

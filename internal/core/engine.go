@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"battsched/internal/dvs"
@@ -165,28 +167,30 @@ type instance struct {
 	adjustedWC float64 // the paper's WC_i
 	missed     bool
 
-	// wcLeft caches remainingWorstCase; wcStale marks it out of date. Every
-	// change to a node's executed cycles or done flag sets wcStale.
-	wcLeft  float64
-	wcStale bool
+	// ready is a bitset over the nodes: bit i is set while node i is ready,
+	// that is not done and with every predecessor done. For graphs of at most
+	// 64 nodes it is backed by readyWord, so it costs no allocation.
+	ready     []uint64
+	readyWord [1]uint64
 }
 
 // remainingWorstCase is the worst-case work still to execute: the sum of the
-// unfinished nodes' remaining worst cases. The sum is cached until a node of
-// the instance next executes, and always recomputed in node order, so the
-// cached value has the bits a fresh sum would have.
+// unfinished nodes' remaining worst cases, in node order.
 func (in *instance) remainingWorstCase() float64 {
-	if in.wcStale {
-		var rem float64
-		for i := range in.nodes {
-			if !in.nodes[i].done {
-				rem += in.nodes[i].wcRemaining()
-			}
+	var rem float64
+	for i := range in.nodes {
+		if !in.nodes[i].done {
+			rem += in.nodes[i].wcRemaining()
 		}
-		in.wcLeft, in.wcStale = rem, false
 	}
-	return in.wcLeft
+	return rem
 }
+
+// setReady marks node i ready.
+func (in *instance) setReady(i int) { in.ready[i>>6] |= 1 << (uint(i) & 63) }
+
+// clearReady marks node i not ready.
+func (in *instance) clearReady(i int) { in.ready[i>>6] &^= 1 << (uint(i) & 63) }
 
 // instanceBefore is the total EDF order of the released list: earliest
 // absolute deadline first, ties broken by release time and graph index so the
@@ -234,8 +238,15 @@ type engine struct {
 
 	now         float64
 	nextRelease []float64
+	minRelease  float64 // the minimum of nextRelease
 	jobCounter  []int
 	released    []*instance // incrementally maintained in EDF order (instanceBefore)
+
+	// views[i] summarises released[i] for the DVS algorithm and the
+	// feasibility check. It is inserted and compacted together with the
+	// released list and refreshed when its instance changes: on release, and
+	// after every execution (which includes completions).
+	views []dvs.InstanceView
 
 	sink   SegmentSink
 	charge profile.ChargeAccumulator
@@ -248,9 +259,13 @@ type engine struct {
 
 	totalWCET []float64 // per-graph Graph.TotalWCET, computed on reset
 
+	// laScan is laEDF's scan prepared once per decision, when the DVS
+	// algorithm is laEDF: it answers the decision's fref and pUBS's what-if
+	// queries.
+	laScan  dvs.LAEDFScan
+	useScan bool
 	// Scratch buffers and pre-bound state reused across scheduling decisions:
 	// after warm-up the decision loop allocates nothing.
-	viewsBuf []dvs.InstanceView
 	candsBuf []candidateRef
 	leftBuf  []int32 // choose's not-yet-examined candidate indices
 	segsBuf  []freqSegment
@@ -259,10 +274,9 @@ type engine struct {
 	freeList []*instance // retired instances recycled by release
 
 	// frequencyAfter state: the closure is bound once at construction and
-	// reads the per-decision views/frequency from these fields.
-	fAfterViews []dvs.InstanceView
-	fAfterFreq  float64
-	fAfterFn    func(priority.Candidate, float64) float64
+	// reads the per-decision frequency from this field.
+	fAfterFreq float64
+	fAfterFn   func(priority.Candidate, float64) float64
 
 	lastRunning *instance
 	lastNode    int
@@ -309,9 +323,16 @@ func (e *engine) reset(cfg Config) {
 	}
 	e.rng.Seed(cfg.Seed ^ 0x5eed)
 	e.horiz = cfg.horizon()
+	switch cfg.DVS.(type) {
+	case dvs.LAEDF, *dvs.LAEDF:
+		e.useScan = true
+	default:
+		e.useScan = false
+	}
 
 	n := cfg.System.NumGraphs()
 	e.nextRelease = resetFloats(e.nextRelease, n)
+	e.minRelease = 0
 	e.jobCounter = resetInts(e.jobCounter, n)
 	e.totalWCET = resetFloats(e.totalWCET, n)
 	for i, g := range cfg.System.Graphs {
@@ -322,6 +343,7 @@ func (e *engine) reset(cfg Config) {
 		e.released[i] = nil
 	}
 	e.released = e.released[:0]
+	e.views = e.views[:0]
 	e.now = 0
 	e.res = &Result{}
 	e.charge.Reset()
@@ -395,11 +417,10 @@ func (e *engine) run() *Result {
 			break
 		}
 
-		views := e.views()
-		fref := e.cfg.DVS.SelectFrequency(e.now, e.fmax, views)
-		effFreq, segments := e.realize(fref)
+		views := e.views
+		effFreq, segments := e.realize(e.selectFrequency())
 
-		cands := e.candidates(views, effFreq)
+		cands := e.candidates()
 		e.res.SchedulingDecisions++
 		if len(cands) == 0 {
 			// Idle until the next release (or the horizon, whichever is
@@ -421,13 +442,33 @@ func (e *engine) run() *Result {
 	return e.res
 }
 
+// selectFrequency returns the DVS algorithm's reference frequency for the
+// current views. With laEDF it prepares the decision's scan, which then also
+// answers pUBS's what-if queries (evalFrequencyAfter).
+func (e *engine) selectFrequency() float64 {
+	if e.useScan {
+		e.laScan.Prepare(e.fmax, e.views)
+		return e.laScan.Frequency(e.now)
+	}
+	return e.cfg.DVS.SelectFrequency(e.now, e.fmax, e.views)
+}
+
 // releaseDue creates instances for every graph whose next release time has
 // arrived (and lies before the horizon).
 func (e *engine) releaseDue() {
+	if e.minRelease > e.now+timeEpsilon {
+		return
+	}
 	for gi, g := range e.sys.Graphs {
 		for e.nextRelease[gi] <= e.now+timeEpsilon && e.nextRelease[gi] < e.horiz-timeEpsilon {
 			e.release(gi, g, e.nextRelease[gi])
 			e.nextRelease[gi] += g.Period
+		}
+	}
+	e.minRelease = math.Inf(1)
+	for _, t := range e.nextRelease {
+		if t < e.minRelease {
+			e.minRelease = t
 		}
 	}
 }
@@ -448,6 +489,15 @@ func (e *engine) allocInstance(nn int) *instance {
 	} else {
 		in.nodes = make([]nodeState, nn)
 	}
+	switch nw := (nn + 63) >> 6; {
+	case nw <= len(in.readyWord):
+		in.ready = in.readyWord[:nw]
+	case cap(in.ready) >= nw:
+		in.ready = in.ready[:nw]
+	default:
+		in.ready = make([]uint64, nw)
+	}
+	clear(in.ready)
 	return in
 }
 
@@ -460,7 +510,6 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 	in.remaining = g.NumNodes()
 	in.adjustedWC = e.totalWCET[gi]
 	in.missed = false
-	in.wcStale = true
 	e.jobCounter[gi]++
 	for i := range in.nodes {
 		id := taskgraph.NodeID(i)
@@ -475,27 +524,56 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 		if in.nodes[i].actual <= 0 {
 			in.nodes[i].actual = cycleEpsilon
 		}
+		if in.nodes[i].predsLeft == 0 {
+			in.setReady(i)
+		}
 	}
 	e.insertReleased(in)
 	e.res.JobsReleased++
 	e.gstat.released(gi)
 }
 
-// insertReleased inserts the instance at its EDF position, keeping the
-// released list sorted at all times (instanceBefore is a strict total order,
-// so incremental insertion reproduces exactly the order a stable sort of the
-// whole list would).
+// insertReleased inserts the instance and its view at its EDF position,
+// keeping the released list sorted at all times (instanceBefore is a strict
+// total order, so incremental insertion reproduces exactly the order a stable
+// sort of the whole list would). A fresh instance's remaining worst case is
+// its graph's TotalWCET: the same sum, in the same node order.
 func (e *engine) insertReleased(in *instance) {
 	i := sort.Search(len(e.released), func(i int) bool { return instanceBefore(in, e.released[i]) })
 	e.released = append(e.released, nil)
 	copy(e.released[i+1:], e.released[i:])
 	e.released[i] = in
+	gi := in.graphIndex
+	e.views = append(e.views, dvs.InstanceView{})
+	copy(e.views[i+1:], e.views[i:])
+	e.views[i] = dvs.InstanceView{
+		GraphIndex:         gi,
+		ReleaseTime:        in.release,
+		AbsoluteDeadline:   in.deadline,
+		Period:             e.sys.Graphs[gi].Period,
+		TotalWCET:          e.totalWCET[gi],
+		AdjustedWCET:       in.adjustedWC,
+		RemainingWorstCase: e.totalWCET[gi],
+	}
 }
 
-// recordMisses flags instances whose deadline passed while work remains.
+// refreshView brings the view at EDF position pos up to date after its
+// instance executed.
+func (e *engine) refreshView(pos int) {
+	in := e.released[pos]
+	e.views[pos].AdjustedWCET = in.adjustedWC
+	e.views[pos].RemainingWorstCase = in.remainingWorstCase()
+}
+
+// recordMisses flags instances whose deadline passed while work remains. The
+// released list is in deadline order, so the scan stops at the first deadline
+// that has not passed.
 func (e *engine) recordMisses() {
 	for _, in := range e.released {
-		if !in.missed && in.remaining > 0 && in.deadline < e.now-timeEpsilon {
+		if in.deadline >= e.now-timeEpsilon {
+			return
+		}
+		if !in.missed && in.remaining > 0 {
 			in.missed = true
 			e.res.DeadlineMisses++
 			e.gstat.missedWithoutCompletion(in.graphIndex)
@@ -509,20 +587,27 @@ func (e *engine) recordMisses() {
 // paper's rule that WC_i reflects the actual computations "as long as the new
 // instance of the taskgraph Ti is not released", which is also what keeps the
 // ccEDF/laEDF utilisation accounting (and hence the deadline guarantee)
-// intact. Dropped instances return to the free list for recycling.
+// intact. Dropped instances return to the free list for recycling, and
+// their views leave the views list with them. The released list is in
+// deadline order, so nothing can drop while its first deadline is still
+// ahead.
 func (e *engine) dropCompleted() {
-	out := e.released[:0]
-	for _, in := range e.released {
+	if len(e.released) == 0 || e.released[0].deadline > e.now+timeEpsilon {
+		return
+	}
+	n := 0
+	for i, in := range e.released {
 		if in.remaining > 0 || in.deadline > e.now+timeEpsilon {
-			out = append(out, in)
+			e.released[n] = in
+			e.views[n] = e.views[i]
+			n++
 		} else {
 			e.freeList = append(e.freeList, in)
 		}
 	}
-	for i := len(out); i < len(e.released); i++ {
-		e.released[i] = nil
-	}
-	e.released = out
+	clear(e.released[n:])
+	e.released = e.released[:n]
+	e.views = e.views[:n]
 }
 
 // hasPendingWork reports whether any released instance still has unfinished
@@ -534,28 +619,6 @@ func (e *engine) hasPendingWork() bool {
 		}
 	}
 	return false
-}
-
-// views returns the InstanceViews of all released instances, which summarise
-// them for the DVS algorithm and the feasibility check. The released list is
-// maintained in EDF order incrementally (see insertReleased), so no
-// per-decision sort is needed; the views land in a scratch buffer reused
-// across decisions.
-func (e *engine) views() []dvs.InstanceView {
-	e.viewsBuf = e.viewsBuf[:0]
-	for _, in := range e.released {
-		gi := in.graphIndex
-		e.viewsBuf = append(e.viewsBuf, dvs.InstanceView{
-			GraphIndex:         gi,
-			ReleaseTime:        in.release,
-			AbsoluteDeadline:   in.deadline,
-			Period:             e.sys.Graphs[gi].Period,
-			TotalWCET:          e.totalWCET[gi],
-			AdjustedWCET:       in.adjustedWC,
-			RemainingWorstCase: in.remainingWorstCase(),
-		})
-	}
-	return e.viewsBuf
 }
 
 // realize maps fref onto the processor: the effective execution frequency and
@@ -612,8 +675,9 @@ func (e *engine) realize(fref float64) (float64, []freqSegment) {
 // candidates. The first incomplete instance in EDF order is the "most
 // imminent" one: its candidates are always admissible without a feasibility
 // check, and under the MostImminentOnly policy only its candidates are
-// offered. The returned slice is a scratch buffer reused across decisions.
-func (e *engine) candidates(views []dvs.InstanceView, effFreq float64) []candidateRef {
+// offered. Each instance's ready set yields its candidates in ascending node
+// order. The returned slice is a scratch buffer reused across decisions.
+func (e *engine) candidates() []candidateRef {
 	out := e.candsBuf[:0]
 	imminentPos := -1
 	for pos, in := range e.released {
@@ -626,25 +690,25 @@ func (e *engine) candidates(views []dvs.InstanceView, effFreq float64) []candida
 			break
 		}
 		g := e.sys.Graphs[in.graphIndex]
-		for ni := range in.nodes {
-			ns := &in.nodes[ni]
-			if ns.done || ns.predsLeft > 0 {
-				continue
+		for w, word := range in.ready {
+			for ; word != 0; word &= word - 1 {
+				ni := w<<6 | bits.TrailingZeros64(word)
+				ns := &in.nodes[ni]
+				est := e.estimateRemaining(in, ni, ns)
+				// Grow, then set the new element's fields in place: a
+				// composite literal would be built on the stack and copied.
+				out = slices.Grow(out, 1)[:len(out)+1]
+				c := &out[len(out)-1]
+				c.inst = in
+				c.imminent = pos == imminentPos
+				c.cand.GraphIndex = in.graphIndex
+				c.cand.Node = ni
+				c.cand.Name = g.Nodes[ni].Name
+				c.cand.RemainingWCET = ns.wcRemaining()
+				c.cand.EstimatedActual = est
+				c.cand.AbsoluteDeadline = in.deadline
+				c.cand.EDFPosition = pos
 			}
-			est := e.estimateRemaining(in, ni, ns)
-			out = append(out, candidateRef{
-				inst:     in,
-				imminent: pos == imminentPos,
-				cand: priority.Candidate{
-					GraphIndex:       in.graphIndex,
-					Node:             ni,
-					Name:             g.Nodes[ni].Name,
-					RemainingWCET:    ns.wcRemaining(),
-					EstimatedActual:  est,
-					AbsoluteDeadline: in.deadline,
-					EDFPosition:      pos,
-				},
-			})
 		}
 	}
 	e.candsBuf = out
@@ -682,7 +746,6 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 		Rand:             e.rng,
 	}
 	if !e.cfg.LocalSpeedModel {
-		e.fAfterViews = views
 		e.fAfterFreq = effFreq
 		e.prioCtx.FrequencyAfter = e.fAfterFn
 	}
@@ -728,31 +791,36 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 // evalFrequencyAfter is the closure used by pUBS to evaluate s_{o,k}: the
 // reference frequency the DVS algorithm would select if the candidate
 // completed next after consuming assumedCycles. It is bound once per engine
-// (fAfterFn) and reads the current decision's views and effective frequency
-// from fAfterViews/fAfterFreq. Only the candidate's own view differs in the
-// hypothetical, so that view is overwritten in place for the DVS query and
-// restored afterwards; the engine owns the views slice.
+// (fAfterFn) and reads the current decision's effective frequency from
+// fAfterFreq. Only the candidate's own view differs in the hypothetical. With
+// laEDF the decision's prepared scan answers the query from that view on;
+// any other algorithm sees the view overwritten in place for the query and
+// restored afterwards (the engine owns the views slice).
 func (e *engine) evalFrequencyAfter(c priority.Candidate, assumedCycles float64) float64 {
 	then := e.now
 	if e.fAfterFreq > 0 {
 		then += assumedCycles / e.fAfterFreq
 	}
-	views := e.fAfterViews
+	views := e.views
 	if c.EDFPosition < 0 || c.EDFPosition >= len(views) {
 		return e.cfg.DVS.SelectFrequency(then, e.fmax, views)
 	}
 	v := &views[c.EDFPosition]
-	adjusted, remaining := v.AdjustedWCET, v.RemainingWorstCase
+	remaining := v.RemainingWorstCase - c.RemainingWCET
+	if remaining < 0 {
+		remaining = 0
+	}
+	if e.useScan {
+		return e.laScan.FrequencyWith(then, c.EDFPosition, remaining)
+	}
+	adjusted, oldRemaining := v.AdjustedWCET, v.RemainingWorstCase
 	v.AdjustedWCET = adjusted - c.RemainingWCET + assumedCycles
 	if v.AdjustedWCET < 0 {
 		v.AdjustedWCET = 0
 	}
-	v.RemainingWorstCase -= c.RemainingWCET
-	if v.RemainingWorstCase < 0 {
-		v.RemainingWorstCase = 0
-	}
+	v.RemainingWorstCase = remaining
 	f := e.cfg.DVS.SelectFrequency(then, e.fmax, views)
-	v.AdjustedWCET, v.RemainingWorstCase = adjusted, remaining
+	v.AdjustedWCET, v.RemainingWorstCase = adjusted, oldRemaining
 	return f
 }
 
@@ -772,21 +840,16 @@ func (e *engine) idle(dur float64) {
 }
 
 // nextEvent returns the earliest future release time, or the horizon when no
-// release remains before it.
+// release remains before it. The earliest release before the horizon, when
+// there is one, is the minimum of nextRelease.
 func (e *engine) nextEvent() float64 {
-	next := math.Inf(1)
-	for gi := range e.nextRelease {
-		if e.nextRelease[gi] < e.horiz-timeEpsilon && e.nextRelease[gi] < next {
-			next = e.nextRelease[gi]
-		}
+	if e.minRelease < e.horiz-timeEpsilon {
+		return e.minRelease
 	}
-	if math.IsInf(next, 1) {
-		if e.now < e.horiz {
-			return e.horiz
-		}
-		return e.now
+	if e.now < e.horiz {
+		return e.horiz
 	}
-	return next
+	return e.now
 }
 
 // execute runs the chosen candidate until it completes or the next release
@@ -852,7 +915,6 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 	}
 
 	ns.executed += cycles
-	in.wcStale = true
 	e.res.BusyTime += dur
 	e.res.ExecutedCycles += cycles
 	e.now += dur
@@ -860,6 +922,7 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 	if completes || ns.acRemaining() <= cycleEpsilon {
 		e.completeNode(in, c.cand.Node, ns, g)
 	}
+	e.refreshView(c.cand.EDFPosition)
 }
 
 // completeNode finishes a node: updates WC_i with the actual requirement
@@ -868,7 +931,7 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskgraph.Graph) {
 	ns.done = true
 	ns.executed = ns.actual
-	in.wcStale = true
+	in.clearReady(nodeIdx)
 	in.remaining--
 	in.adjustedWC += ns.actual - ns.wcet
 	if in.adjustedWC < 0 {
@@ -877,6 +940,9 @@ func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskg
 	e.cfg.Estimator.Observe(in.graphIndex, nodeIdx, ns.wcet, ns.actual)
 	for _, s := range g.Successors(taskgraph.NodeID(nodeIdx)) {
 		in.nodes[s].predsLeft--
+		if in.nodes[s].predsLeft == 0 {
+			in.setReady(int(s))
+		}
 	}
 	e.res.NodesCompleted++
 	e.lastRunning = nil

@@ -9,6 +9,13 @@
 // and returns the reference frequency fref that guarantees every subsequent
 // deadline. The scheduler in internal/core invokes it on every task-graph
 // release and on every node completion, exactly as in the paper's Algorithm 1.
+//
+// laEDF's scan can also be prepared once per decision (LAEDFScan). The
+// scheduler does so: the prepared scan answers the decision's own fref and,
+// for pUBS, every "what if this candidate completed next" query, each of
+// which resumes the scan at the candidate's EDF position instead of
+// rescanning every view. LAEDF.SelectFrequency and LAEDFScan share one step
+// function, so both give the same bits.
 package dvs
 
 import "sort"
@@ -177,33 +184,137 @@ func (LAEDF) SelectFrequency(now, fmax float64, instances []InstanceView) float6
 	}
 	// Work in normalised "seconds at fmax" units.
 	var u float64
-	for _, in := range inst {
-		if in.Period > 0 {
-			u += in.TotalWCET / (fmax * in.Period)
+	for i := range inst {
+		if inst[i].Period > 0 {
+			u += laTerm(&inst[i], fmax)
 		}
 	}
 	s := 0.0
 	// Latest deadline first.
 	for i := len(inst) - 1; i >= 0; i-- {
-		in := inst[i]
-		cLeft := in.RemainingWorstCase / fmax
-		if in.Period > 0 {
-			u -= in.TotalWCET / (fmax * in.Period)
-		}
-		slack := in.AbsoluteDeadline - dn
-		var x float64
-		if slack <= 0 {
-			// The instance with the earliest deadline: all of its remaining
-			// work must be done before dn.
-			x = cLeft
-		} else {
-			x = cLeft - (1-u)*slack
-			if x < 0 {
-				x = 0
-			}
-			u += (cLeft - x) / slack
-		}
-		s += x
+		u, s = laStep(u, s, &inst[i], laTerm(&inst[i], fmax), inst[i].RemainingWorstCase, fmax, dn)
 	}
 	return clampFrequency(s/(dn-now)*fmax, fmax)
+}
+
+// laTerm is the static utilisation of view in at fmax; laStep uses it only
+// for views with a positive Period.
+func laTerm(in *InstanceView, fmax float64) float64 {
+	return in.TotalWCET / (fmax * in.Period)
+}
+
+// laStep advances laEDF's backward scan over one view: it removes the view's
+// static utilisation term from u and adds to s the work x (in seconds at
+// fmax) of its remaining worst case that must be done before the earliest
+// deadline dn. It is the scan's only arithmetic, shared by
+// LAEDF.SelectFrequency and LAEDFScan.
+func laStep(u, s float64, in *InstanceView, term, remaining, fmax, dn float64) (float64, float64) {
+	cLeft := remaining / fmax
+	if in.Period > 0 {
+		u -= term
+	}
+	slack := in.AbsoluteDeadline - dn
+	var x float64
+	if slack <= 0 {
+		// The instance with the earliest deadline: all of its remaining
+		// work must be done before dn.
+		x = cLeft
+	} else {
+		x = cLeft - (1-u)*slack
+		if x < 0 {
+			x = 0
+		}
+		u += (cLeft - x) / slack
+	}
+	return u, s + x
+}
+
+// LAEDFScan is laEDF's backward scan over one set of views, prepared once so
+// that the decision's own frequency and any number of what-if queries reuse
+// it. The scan runs from the latest deadline down, and its state (u, s)
+// before view k depends only on views k+1..n-1 and the earliest deadline, not
+// on the current time or on view k. A query that changes view k's remaining
+// worst case therefore resumes at k and re-steps only views k..0.
+//
+// Every answer is bit-identical to LAEDF.SelectFrequency on the
+// correspondingly edited views: the same steps in the same order. The zero
+// value is ready for Prepare, and one scan reused across decisions allocates
+// only when the number of views grows. A scan aliases the views passed to
+// Prepare until the next Prepare; they must not change in between.
+type LAEDFScan struct {
+	views []InstanceView
+	fmax  float64
+	dn    float64       // earliest absolute deadline
+	state []laScanState // state[k]: the scan state before stepping view k
+	s     float64       // s after stepping every view
+}
+
+// laScanState is the scan state before one view, plus that view's static
+// utilisation term.
+type laScanState struct {
+	u, s, term float64
+}
+
+// Prepare runs the scan over views, which must be in EDF order (earliest
+// deadline first, as the scheduler maintains them).
+func (p *LAEDFScan) Prepare(fmax float64, views []InstanceView) {
+	p.views, p.fmax = views, fmax
+	if cap(p.state) < len(views) {
+		p.state = make([]laScanState, len(views))
+	}
+	p.state = p.state[:len(views)]
+	if len(views) == 0 || fmax <= 0 {
+		return
+	}
+	p.dn = views[0].AbsoluteDeadline
+	var u float64
+	for i := range views {
+		p.state[i].term = laTerm(&views[i], fmax)
+		if views[i].Period > 0 {
+			u += p.state[i].term
+		}
+	}
+	s := 0.0
+	for i := len(views) - 1; i >= 0; i-- {
+		st := &p.state[i]
+		st.u, st.s = u, s
+		u, s = laStep(u, s, &views[i], st.term, views[i].RemainingWorstCase, fmax, p.dn)
+	}
+	p.s = s
+}
+
+// Frequency returns LAEDF.SelectFrequency(now, fmax, views) for the prepared
+// views.
+func (p *LAEDFScan) Frequency(now float64) float64 {
+	if len(p.views) == 0 || p.fmax <= 0 {
+		return 0
+	}
+	return p.finish(now, p.s)
+}
+
+// FrequencyWith returns LAEDF.SelectFrequency(now, fmax, views) for the
+// prepared views with view k's RemainingWorstCase replaced by remaining. k
+// must index the prepared views.
+func (p *LAEDFScan) FrequencyWith(now float64, k int, remaining float64) float64 {
+	if p.fmax <= 0 {
+		return 0
+	}
+	if p.dn <= now {
+		return p.fmax
+	}
+	st := &p.state[k]
+	u, s := laStep(st.u, st.s, &p.views[k], st.term, remaining, p.fmax, p.dn)
+	for i := k - 1; i >= 0; i-- {
+		u, s = laStep(u, s, &p.views[i], p.state[i].term, p.views[i].RemainingWorstCase, p.fmax, p.dn)
+	}
+	return p.finish(now, s)
+}
+
+// finish turns the scan's work s into a frequency at time now.
+func (p *LAEDFScan) finish(now, s float64) float64 {
+	if p.dn <= now {
+		// The earliest deadline is (numerically) immediate: run flat out.
+		return p.fmax
+	}
+	return clampFrequency(s/(p.dn-now)*p.fmax, p.fmax)
 }

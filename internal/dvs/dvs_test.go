@@ -232,3 +232,63 @@ func TestClampFrequency(t *testing.T) {
 		t.Fatal("in-range value altered")
 	}
 }
+
+// TestLAEDFScanMatchesSelectFrequency checks the prepared scan against the
+// plain laEDF scan bit for bit on random EDF-sorted views: zero-Period views,
+// tied deadlines, an earliest deadline at or before now, and, for every
+// position k, a what-if query whose remaining worst case is clamped to 0 as
+// the scheduler clamps it.
+func TestLAEDFScanMatchesSelectFrequency(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var scan LAEDFScan
+	la := NewLAEDF()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(9)
+		views := make([]InstanceView, n)
+		d := rng.Float64() * 0.05
+		for i := range views {
+			if i == 0 || rng.Intn(4) != 0 { // some deadlines tie
+				d += rng.Float64() * 0.1
+			}
+			period := 0.02 + rng.Float64()*0.2
+			if rng.Intn(6) == 0 {
+				period = 0
+			}
+			total := rng.Float64() * 3e7
+			rem := total * rng.Float64()
+			if rng.Intn(8) == 0 {
+				rem = 0
+			}
+			views[i] = InstanceView{GraphIndex: i, AbsoluteDeadline: d, Period: period, TotalWCET: total, AdjustedWCET: total, RemainingWorstCase: rem}
+		}
+		now := rng.Float64() * 0.05
+		if n > 0 && rng.Intn(5) == 0 {
+			now = views[0].AbsoluteDeadline + rng.Float64()*0.01 // dn <= now
+		}
+		f := fmax
+		if rng.Intn(50) == 0 {
+			f = 0
+		}
+		scan.Prepare(f, views)
+		if got, want := scan.Frequency(now), la.SelectFrequency(now, f, views); !same(got, want) {
+			t.Fatalf("trial %d: Frequency = %v, SelectFrequency = %v", trial, got, want)
+		}
+		for k := range views {
+			then := now + rng.Float64()*0.02
+			rem := views[k].RemainingWorstCase - rng.Float64()*2e7
+			if rem < 0 {
+				rem = 0
+			}
+			edited := append([]InstanceView(nil), views...)
+			edited[k].RemainingWorstCase = rem
+			if got, want := scan.FrequencyWith(then, k, rem), la.SelectFrequency(then, f, edited); !same(got, want) {
+				t.Fatalf("trial %d, k=%d: FrequencyWith = %v, SelectFrequency = %v", trial, k, got, want)
+			}
+		}
+		// Queries leave the prepared state untouched.
+		if got, want := scan.Frequency(now), la.SelectFrequency(now, f, views); !same(got, want) {
+			t.Fatalf("trial %d: Frequency after queries = %v, SelectFrequency = %v", trial, got, want)
+		}
+	}
+}

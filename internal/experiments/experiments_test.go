@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -435,5 +436,28 @@ func TestRunScenarioGridValidation(t *testing.T) {
 	bad.Batteries = []string{"bogus"}
 	if _, err := RunScenarioGrid(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("battery err = %v", err)
+	}
+}
+
+// TestEstimatorsNotSharedAcrossWorkers runs quick table2 and ablation with
+// four workers. priority.HistoryEstimator takes no lock, so each worker's
+// engine must own its estimator: run under -race, as CI runs it, this test
+// fails if two workers ever share one. It also checks that the artifacts
+// match a single-worker run byte for byte.
+func TestEstimatorsNotSharedAcrossWorkers(t *testing.T) {
+	for _, name := range []string{"table2", "ablation"} {
+		var artifacts [2]bytes.Buffer
+		for i, parallel := range []int{4, 1} {
+			rep, err := Run(context.Background(), name, Spec{Quick: true, RunOptions: RunOptions{Parallel: parallel}})
+			if err != nil {
+				t.Fatalf("%s at Parallel %d: %v", name, parallel, err)
+			}
+			if err := WriteArtifact(&artifacts[i], []*Report{rep}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(artifacts[0].Bytes(), artifacts[1].Bytes()) {
+			t.Errorf("%s: artifact at Parallel 4 differs from Parallel 1", name)
+		}
 	}
 }

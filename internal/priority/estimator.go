@@ -1,7 +1,5 @@
 package priority
 
-import "sync"
-
 // Estimator predicts the actual execution requirement X_k of a node instance
 // before it runs. The paper notes that the quality of the pUBS schedule
 // depends directly on the quality of this estimate and suggests keeping a
@@ -21,8 +19,13 @@ type Estimator interface {
 const DefaultInitialFraction = 0.6
 
 // HistoryEstimator keeps an exponentially weighted moving average of the
-// actual/WCET ratio of each node across instances. It is safe for concurrent
-// use.
+// actual/WCET ratio of each node across instances.
+//
+// Ownership contract: a HistoryEstimator is not safe for concurrent use. It
+// belongs to one simulation at a time: the engine builds one per Engine, and
+// a caller that passes its own through Config.Estimator must not share it
+// across goroutines. Estimate and Observe sit on the scheduler's per-decision
+// path, so they take no lock.
 //
 // The history is a dense table indexed by (graphIndex, nodeID), as the engine
 // passes them: positions in the system and in the graph. The table grows to
@@ -37,7 +40,6 @@ type HistoryEstimator struct {
 	// observation.
 	InitialFraction float64
 
-	mu   sync.Mutex
 	rows [][]histEntry // rows[graphIndex][nodeID]
 	n    int           // entries with recorded history
 }
@@ -97,9 +99,7 @@ func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float6
 	if wcet <= 0 {
 		return 0
 	}
-	h.mu.Lock()
 	e := h.lookup(graphIndex, nodeID)
-	h.mu.Unlock()
 	frac := e.frac
 	if !e.seen {
 		frac = h.InitialFraction
@@ -126,8 +126,6 @@ func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64)
 	if frac > 1 {
 		frac = 1
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	e := h.slot(graphIndex, nodeID)
 	if e.seen {
 		e.frac = (1-h.Alpha)*e.frac + h.Alpha*frac
@@ -141,20 +139,14 @@ func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64)
 // reused estimator starts the next simulation from InitialFraction without
 // reallocating.
 func (h *HistoryEstimator) Reset() {
-	h.mu.Lock()
 	for _, row := range h.rows {
 		clear(row)
 	}
 	h.n = 0
-	h.mu.Unlock()
 }
 
 // Len returns the number of nodes with recorded history.
-func (h *HistoryEstimator) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
+func (h *HistoryEstimator) Len() int { return h.n }
 
 // OracleEstimator returns a fixed fraction of the WCET and ignores
 // observations. With Fraction = 1 it reproduces worst-case-pessimistic

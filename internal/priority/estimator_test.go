@@ -3,7 +3,6 @@ package priority
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -146,30 +145,4 @@ func TestHistoryEstimatorResetKeepsStorage(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { h.Reset(); learn() }); allocs != 0 {
 		t.Fatalf("relearning after Reset allocates %v times, want 0", allocs)
 	}
-}
-
-// TestHistoryEstimatorConcurrentUse exercises Observe, Estimate, Len and Reset
-// from several goroutines; run under -race it checks the locking.
-func TestHistoryEstimatorConcurrentUse(t *testing.T) {
-	h := NewHistoryEstimator(0.5)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				g, n := (w+i)%7, i%23
-				h.Observe(g, n, 100, 40)
-				if est := h.Estimate(g, n, 100); est <= 0 || est > 100 {
-					t.Errorf("estimate %v outside (0, 100]", est)
-					return
-				}
-				if i%100 == 0 {
-					h.Reset()
-				}
-				_ = h.Len()
-			}
-		}(w)
-	}
-	wg.Wait()
 }
